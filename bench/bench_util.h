@@ -375,8 +375,8 @@ inline void print_stage_cache_stats(const BenchCli& cli,
 // ---------------------------------------------------------------------------
 
 // --connect: serve a coordinator as a zoo-backed worker. Returns the bench's
-// exit code. Bench-agnostic — the coordinator's welcome message says which
-// models to resolve, so `bench_table2 --connect` can serve a fig3 sweep.
+// exit code. Bench-agnostic — each job's job_info frame says which models
+// to resolve, so `bench_table2 --connect` can serve a fig3 sweep.
 // Connection attempts retry for a couple of minutes (the coordinator may
 // still be training/loading the models it is about to serve).
 inline int run_bench_worker(const BenchCli& cli) {

@@ -1,419 +1,68 @@
 #include "dist/coordinator.h"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdarg>
-#include <cstdint>
-#include <cstdio>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <set>
+#include <chrono>
 #include <stdexcept>
-#include <thread>
+#include <string>
 #include <utility>
-
-#include <sys/socket.h>
-
-#include "dist/protocol.h"
-#include "dist/result_merge.h"
-#include "net/frame.h"
-#include "net/socket.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace sysnoise::dist {
 
-namespace {
+Coordinator::Coordinator(CoordinatorOptions opts)
+    : opts_(std::move(opts)),
+      listener_(net::TcpListener::listen(opts_.port)),
+      port_(listener_.port()) {}
 
-util::Json metrics_to_json(const core::MetricMap& metrics) {
-  util::Json j = util::Json::object();
-  for (const auto& [key, value] : metrics) j.set(key, value);
-  return j;
-}
+std::vector<core::MetricMap> Coordinator::run(
+    const std::vector<DistJob>& jobs) {
+  if (!listener_.valid())
+    throw std::logic_error("Coordinator::run() may only be called once");
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    service_ = std::make_unique<svc::SweepService>(opts_, std::move(listener_),
+                                                   jobs);
+  }
+  svc::SweepService& svc = *service_;
 
-}  // namespace
+  // A min_workers quorum that never arrives fails loudly instead of
+  // holding leases forever; once it is met the timeout is disarmed.
+  const auto join_deadline = std::chrono::steady_clock::now() +
+                             std::chrono::seconds(opts_.min_workers_timeout_s);
+  std::string error;
+  while (!svc.wait_idle(std::chrono::milliseconds(100))) {
+    const std::size_t joined = svc.stats().workers_joined;
+    if (opts_.min_workers_timeout_s > 0 &&
+        joined < static_cast<std::size_t>(opts_.min_workers) &&
+        std::chrono::steady_clock::now() >= join_deadline) {
+      error = "only " + std::to_string(joined) + " of " +
+              std::to_string(opts_.min_workers) +
+              " required workers joined within " +
+              std::to_string(opts_.min_workers_timeout_s) + "s";
+      break;
+    }
+  }
+  svc.stop();  // attached workers get `done`; every handler is joined
+  if (!error.empty()) throw std::runtime_error("Coordinator: " + error);
 
-struct Coordinator::Impl {
-  CoordinatorOptions opts;
-  net::TcpListener listener;
-
-  // Per-run state (reset by run()).
-  std::unique_ptr<LeaseScheduler> scheduler;
-  const std::vector<DistJob>* jobs = nullptr;
-  util::Json welcome;  // prebuilt welcome frame shared by every worker
-
-  mutable std::mutex results_mu;
   std::vector<core::MetricMap> results;
-  std::string first_error;  // first merge/protocol failure, "" when clean
-
-  std::atomic<int> next_worker_id{0};
-  std::atomic<std::size_t> workers_joined{0};
-  std::atomic<std::size_t> results_received{0};
-  std::atomic<std::size_t> worker_errors{0};
-
-  // Live connection fds, so run() can nudge zombie connections (a silent
-  // worker whose leases already expired) off their blocking recv instead of
-  // waiting out the receive timeout at join time. Handlers unregister
-  // BEFORE closing, so a registered fd is never a recycled one.
-  std::mutex conns_mu;
-  std::set<int> conns;
-  std::atomic<int> active_handlers{0};
-
-  // Latest cumulative obs::metrics snapshot per worker (shipped with result
-  // frames while tracing), surfaced through worker_metrics() so the
-  // caller's flight-recorder summary can cover the whole fleet without
-  // contaminating this process's own registry.
-  std::mutex obs_mu;
-  std::map<int, util::Json> worker_obs;
-
-  void log(const char* fmt, ...) const;
-  void record_error(const std::string& message);
-  bool has_error() const {
-    std::lock_guard<std::mutex> lock(results_mu);
-    return !first_error.empty();
-  }
-  bool merge_result(const util::Json& m, int worker_id);
-  void serve(net::TcpSocket sock);
-};
-
-void Coordinator::Impl::log(const char* fmt, ...) const {
-  if (!opts.verbose) return;
-  va_list args;
-  va_start(args, fmt);
-  std::printf("[coordinator] ");
-  std::vprintf(fmt, args);
-  std::printf("\n");
-  std::fflush(stdout);
-  va_end(args);
-}
-
-void Coordinator::Impl::record_error(const std::string& message) {
-  std::lock_guard<std::mutex> lock(results_mu);
-  if (first_error.empty()) first_error = message;
-}
-
-// Merge one result frame through the shared merge/verify core
-// (dist/result_merge.h). Returns false when the frame is malformed or
-// disagrees with previously-merged metrics (both poison the run).
-bool Coordinator::Impl::merge_result(const util::Json& m, int worker_id) {
-  ParsedResult parsed;
-  std::string error = parse_result_frame(m, &parsed);
-  if (error.empty() && (parsed.job >= static_cast<int>(results.size()) ||
-                        parsed.unit >= scheduler->units().size()))
-    error = "result for unknown job/unit";
-  if (!error.empty()) {
-    record_error(error + " from worker " + std::to_string(worker_id));
-    return false;
-  }
-  if (const util::Json* snap = m.get("obs")) {
-    std::lock_guard<std::mutex> lock(obs_mu);
-    worker_obs[worker_id] = *snap;  // cumulative: latest wins
-  }
-  {
-    // NOTE: record_error locks results_mu too — collect the failure and
-    // report it after this scope.
-    std::lock_guard<std::mutex> lock(results_mu);
-    const std::string merge_error = merge_metrics(
-        results[static_cast<std::size_t>(parsed.job)], *parsed.metrics);
-    if (!merge_error.empty()) {
-      if (first_error.empty()) first_error = merge_error;
-      return false;
-    }
-  }
-  results_received.fetch_add(1);
-  const bool first = scheduler->complete(parsed.unit);
-  log("result job=%d unit=%zu from worker %d%s", parsed.job, parsed.unit,
-      worker_id, first ? "" : " (duplicate)");
-  return true;
-}
-
-void Coordinator::Impl::serve(net::TcpSocket sock) {
-  using Clock = LeaseScheduler::Clock;
-  // A live worker is never silent longer than a heartbeat interval; give a
-  // connection twice the lease timeout of slack before declaring it dead
-  // (which also bounds how long a zombie handler can linger past the
-  // shutdown nudge).
-  const int recv_timeout_ms = static_cast<int>(
-      std::max<std::int64_t>(opts.lease_timeout.count() * 2, 1000));
-  sock.set_recv_timeout_ms(recv_timeout_ms);
-
-  active_handlers.fetch_add(1);
-  {
-    std::lock_guard<std::mutex> lock(conns_mu);
-    conns.insert(sock.fd());
-  }
-  struct ConnGuard {
-    Impl* im;
-    int fd;
-    ~ConnGuard() {
-      {
-        std::lock_guard<std::mutex> lock(im->conns_mu);
-        im->conns.erase(fd);
-      }
-      im->active_handlers.fetch_sub(1);
-    }
-  } guard{this, sock.fd()};
-
-  // Everything a peer sends is untrusted: recv_json throws on a frame that
-  // is length-valid but not JSON, and field accessors throw on shape
-  // violations. An escaped exception in a handler thread would terminate
-  // the whole coordinator, so contain them here.
-  int worker_id = -1;
+  results.reserve(jobs.size());
   try {
-    util::Json m;
-    std::string hello_error = "bad hello (protocol mismatch?)";
-    if (!net::recv_json(sock, &m) ||
-        !(hello_error = check_hello(m, opts.auth_token)).empty()) {
-      worker_errors.fetch_add(1);
-      log("rejected connection: %s", hello_error.c_str());
-      util::Json err = make_message(msg::kError);
-      err.set("message", hello_error);
-      net::send_json(sock, err);
-      return;
-    }
-    worker_id = next_worker_id.fetch_add(1);
-    workers_joined.fetch_add(1);
-    log("worker %d joined", worker_id);
-    if (obs::trace_enabled()) obs::metrics().counter_add("coord.workers_joined");
-    if (!net::send_json(sock, welcome)) {
-      scheduler->release_worker(worker_id);
-      return;
-    }
-
-    const auto wait_ms =
-        static_cast<int>(opts.heartbeat_interval.count());
-    std::optional<Clock::time_point> last_heartbeat;
-    while (true) {
-      if (!net::recv_json(sock, &m)) break;  // death, timeout or clean close
-      const std::string type = message_type(m);
-      if (type == msg::kLeaseRequest) {
-        util::Json reply;
-        if (workers_joined.load() < static_cast<std::size_t>(opts.min_workers)) {
-          reply = make_message(msg::kWait);
-          reply.set("ms", wait_ms);
-        } else if (const std::optional<std::size_t> unit =
-                       scheduler->acquire(worker_id, Clock::now())) {
-          const WorkUnit& wu = scheduler->units()[*unit];
-          // Correlates with the worker's "worker.lease" span via the shared
-          // "j<job>u<unit>" lease id derived from the same frame fields.
-          obs::TraceSpan grant_span("coord.lease_grant");
-          if (grant_span.active()) {
-            grant_span.attr("lease", "j" + std::to_string(wu.job) + "u" +
-                                         std::to_string(*unit));
-            grant_span.attr("worker", worker_id);
-            grant_span.attr("configs", wu.configs.size());
-          }
-          reply = make_message(msg::kLease);
-          reply.set("job", wu.job);
-          reply.set("unit", static_cast<int>(*unit));
-          util::Json configs = util::Json::array();
-          for (const std::size_t c : wu.configs)
-            configs.push_back(static_cast<int>(c));
-          reply.set("configs", std::move(configs));
-          log("lease unit %zu (job %d, %zu configs) -> worker %d", *unit,
-              wu.job, wu.configs.size(), worker_id);
-        } else if (scheduler->all_done()) {
-          // The conversation is over: answer done and hang up — waiting for
-          // the worker's close would race run()'s shutdown nudge.
-          net::send_json(sock, make_message(msg::kDone));
-          break;
-        } else {
-          reply = make_message(msg::kWait);
-          reply.set("ms", wait_ms);
-        }
-        if (!net::send_json(sock, reply)) break;
-      } else if (type == msg::kHeartbeat) {
-        const auto now = Clock::now();
-        scheduler->heartbeat(worker_id, now);
-        if (obs::trace_enabled()) {
-          // Gap between consecutive heartbeats from this worker: the gauge
-          // a post-mortem reads to see how close a worker ran to its lease
-          // deadline before it expired.
-          if (last_heartbeat.has_value())
-            obs::metrics().gauge_add(
-                "coord.heartbeat_gap_ms",
-                std::chrono::duration<double, std::milli>(now -
-                                                          *last_heartbeat)
-                    .count());
-          last_heartbeat = now;
-        }
-        if (!net::send_json(sock, make_message(msg::kOk))) break;
-      } else if (type == msg::kResult) {
-        obs::TraceSpan merge_span("coord.result_merge");
-        if (merge_span.active()) {
-          const util::Json* rj = m.get("job");
-          const util::Json* ru = m.get("unit");
-          if (rj != nullptr && rj->is_number() && ru != nullptr &&
-              ru->is_number())
-            merge_span.attr("lease", "j" + std::to_string(rj->as_int()) +
-                                         "u" + std::to_string(ru->as_int()));
-          merge_span.attr("worker", worker_id);
-        }
-        if (!merge_result(m, worker_id)) {
-          worker_errors.fetch_add(1);
-          break;
-        }
-        if (obs::trace_enabled())
-          obs::metrics().counter_add("coord.results_merged");
-        if (!net::send_json(sock, make_message(msg::kOk))) break;
-      } else if (type == msg::kError) {
-        const util::Json* message = m.get("message");
-        log("worker %d error: %s", worker_id,
-            message != nullptr ? message->as_string().c_str() : "?");
-        worker_errors.fetch_add(1);
-        break;
-      } else {
-        worker_errors.fetch_add(1);
-        break;  // protocol violation
-      }
-    }
-  } catch (const std::exception& e) {
-    worker_errors.fetch_add(1);
-    log("connection error: %s", e.what());
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+      results.push_back(svc.result(static_cast<int>(j) + 1));
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(std::string("Coordinator: ") + e.what());
   }
-  // Whatever this worker still held goes straight back on offer.
-  if (worker_id >= 0) {
-    scheduler->release_worker(worker_id);
-    log("worker %d left", worker_id);
-  }
-}
-
-Coordinator::Coordinator(CoordinatorOptions opts) : impl_(new Impl) {
-  impl_->opts = opts;
-  impl_->listener = net::TcpListener::listen(opts.port);
-}
-
-Coordinator::~Coordinator() { delete impl_; }
-
-int Coordinator::port() const { return impl_->listener.port(); }
-
-std::vector<core::MetricMap> Coordinator::run(const std::vector<DistJob>& jobs) {
-  Impl& im = *impl_;
-  // Per-run reset.
-  im.jobs = &jobs;
-  im.results.assign(jobs.size(), {});
-  im.first_error.clear();
-  im.workers_joined.store(0);
-  im.results_received.store(0);
-  im.worker_errors.store(0);
-  {
-    std::lock_guard<std::mutex> lock(im.obs_mu);
-    im.worker_obs.clear();
-  }
-
-  std::vector<WorkUnit> units;
-  // Lease forward-batch-compatible groups together: the whole set lands on
-  // one worker, whose StagedExecutor pushes the groups' stacked batches
-  // through a single forward call (bit-identical either way — merging only
-  // changes invocation counts and lease granularity).
-  core::WorkUnitOptions unit_opts;
-  unit_opts.merge_batch_compatible = true;
-  for (std::size_t j = 0; j < jobs.size(); ++j)
-    for (std::vector<std::size_t>& group :
-         core::plan_work_units(jobs[j].plan, unit_opts))
-      units.push_back({static_cast<int>(j), std::move(group)});
-  im.scheduler = std::make_unique<LeaseScheduler>(std::move(units),
-                                                  im.opts.lease_timeout);
-
-  im.welcome = make_message(msg::kWelcome);
-  im.welcome.set("protocol", kProtocolVersion);
-  im.welcome.set("heartbeat_ms",
-                 static_cast<int>(im.opts.heartbeat_interval.count()));
-  util::Json jjobs = util::Json::array();
-  for (const DistJob& job : jobs) {
-    util::Json jj = util::Json::object();
-    jj.set("task", job.task_spec);
-    jj.set("plan", job.plan.to_json());
-    jjobs.push_back(std::move(jj));
-  }
-  im.welcome.set("jobs", std::move(jjobs));
-
-  im.log("serving %zu jobs / %zu units on port %d",
-         jobs.size(), im.scheduler->units().size(), port());
-
-  std::vector<std::thread> handlers;
-  // A recorded merge/protocol error poisons the run: its unit may never
-  // complete (the offending worker was cut off), so stop serving and
-  // surface the diagnostic instead of waiting for an all_done() that can't
-  // come. Same for a min-workers quorum that never arrives within the
-  // join timeout — fail loudly instead of holding leases forever.
-  const auto join_deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::seconds(im.opts.min_workers_timeout_s);
-  bool quorum_met = false;
-  while (!im.scheduler->all_done() && !im.has_error()) {
-    if (!quorum_met) {
-      if (im.workers_joined.load() >=
-          static_cast<std::size_t>(im.opts.min_workers)) {
-        quorum_met = true;
-      } else if (im.opts.min_workers_timeout_s > 0 &&
-                 std::chrono::steady_clock::now() >= join_deadline) {
-        im.record_error(
-            "only " + std::to_string(im.workers_joined.load()) + " of " +
-            std::to_string(im.opts.min_workers) +
-            " required workers joined within " +
-            std::to_string(im.opts.min_workers_timeout_s) + "s");
-        break;
-      }
-    }
-    net::TcpSocket sock = im.listener.accept(100);
-    if (!sock.valid()) continue;
-    handlers.emplace_back(
-        [&im](net::TcpSocket s) { im.serve(std::move(s)); }, std::move(sock));
-  }
-  // Workers still attached get "done" on their next request (at most one
-  // heartbeat interval away) and their handlers hang up — give them that
-  // window before nudging. What remains after the grace period is a zombie
-  // (a worker that died silently after its leases were re-leased) whose
-  // handler would only exit on recv timeout: shut those sockets down so
-  // join is prompt.
-  const auto grace_deadline =
-      std::chrono::steady_clock::now() +
-      std::max<std::chrono::milliseconds>(3 * im.opts.heartbeat_interval,
-                                          std::chrono::milliseconds(500));
-  while (im.active_handlers.load() > 0 &&
-         std::chrono::steady_clock::now() < grace_deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  {
-    std::lock_guard<std::mutex> lock(im.conns_mu);
-    for (const int fd : im.conns) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (std::thread& t : handlers) t.join();
-  im.jobs = nullptr;
-
-  if (!im.first_error.empty())
-    throw std::runtime_error("Coordinator: " + im.first_error);
-  // all_done() guarantees unit coverage; double-check the metric maps cover
-  // their plans so assembly cannot throw later.
-  for (std::size_t j = 0; j < jobs.size(); ++j)
-    for (const core::PlannedConfig& p : jobs[j].plan.configs)
-      if (im.results[j].find(p.metric_key) == im.results[j].end())
-        throw std::runtime_error(
-            "Coordinator: completed run left no metric for \"" +
-            p.metric_key + "\"");
-  return std::move(im.results);
+  return results;
 }
 
 CoordinatorStats Coordinator::stats() const {
-  CoordinatorStats s;
-  if (impl_->scheduler != nullptr) s.scheduler = impl_->scheduler->stats();
-  s.workers_joined = impl_->workers_joined.load();
-  s.results_received = impl_->results_received.load();
-  s.worker_errors = impl_->worker_errors.load();
-  return s;
+  std::lock_guard<std::mutex> lock(mu_);
+  return service_ != nullptr ? service_->stats() : CoordinatorStats{};
 }
 
 util::Json Coordinator::worker_metrics() const {
-  std::lock_guard<std::mutex> lock(impl_->obs_mu);
-  util::Json merged = util::Json::object();
-  bool first = true;
-  for (const auto& [id, snap] : impl_->worker_obs) {
-    merged = first ? snap : obs::merge_snapshots(merged, snap);
-    first = false;
-  }
-  return merged;
+  std::lock_guard<std::mutex> lock(mu_);
+  return service_ != nullptr ? service_->worker_metrics()
+                             : util::Json::object();
 }
 
 }  // namespace sysnoise::dist

@@ -1,99 +1,68 @@
-// The coordinator half of the distributed sweep runtime: owns a sequence of
-// (task-spec, SweepPlan) jobs, leases stage-key-grouped work units to TCP
-// workers (dist/worker.h, tools/sysnoise_worker.cpp) over the
-// dist/protocol.h message vocabulary, and incrementally merges the streamed
-// partial MetricMaps into per-job results that are bit-identical to a
-// single-process sweep — the dynamic, fault-tolerant successor to the
-// static `--shard i/N` + `--merge` workflow.
+// The one-shot face of the distributed sweep runtime: serve a fixed list of
+// (task-spec, SweepPlan) jobs to TCP workers (dist/worker.h,
+// tools/sysnoise_worker.cpp) until every work unit is evaluated, and return
+// merged per-job results bit-identical to a single-process sweep — the
+// dynamic, fault-tolerant successor to the static `--shard i/N` + `--merge`
+// workflow.
 //
-// Scheduling is pull-based work stealing: workers ask for a lease whenever
-// they are idle, so fast workers naturally evaluate more units. Fault
-// tolerance is lease-based: every lease expires unless the owning worker
-// heartbeats, a dropped connection returns its leases immediately, and an
-// expired/returned unit is simply re-leased to the next hungry worker. The
-// merge verifies that overlapping results (a unit completed by both the
-// original and the replacement worker) agree bit-exactly.
+// Coordinator is a thin facade over an in-process, volatile sweep service
+// (svc/service.h), the runtime's one lease server: leasing, heartbeats,
+// lease expiry and re-lease, the min_workers join gate and the bit-exact
+// result merge all live there. The facade binds the port, hands the
+// listener and the jobs to the service, waits for the jobs, and enforces
+// the min_workers join timeout.
 #pragma once
 
-#include <chrono>
-#include <cstddef>
-#include <string>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/plan.h"
-#include "dist/scheduler.h"
+#include "dist/protocol.h"
+#include "net/socket.h"
+#include "svc/service.h"
 #include "util/json.h"
 
 namespace sysnoise::dist {
 
-// One schedulable sweep: an opaque task spec the workers resolve (the
-// coordinator never interprets it — tests resolve synthetic tasks, the
-// worker binary resolves zoo models via dist/task_factory.h) plus the plan
-// to evaluate.
-struct DistJob {
-  util::Json task_spec;
-  core::SweepPlan plan;
-};
-
-struct CoordinatorOptions {
-  int port = 0;          // 0 = ephemeral; port() reports the actual one
-  int min_workers = 1;   // hold leases until this many workers ever joined
-  // Fail the run loudly when min_workers have not joined within this many
-  // seconds of run() starting, instead of holding leases forever for
-  // workers that will never come (a typo'd port, a dead launcher). 0 waits
-  // forever; once the quorum is ever met the timeout is disarmed.
-  int min_workers_timeout_s = 0;
-  // Shared-secret worker auth: when non-empty, a hello without a matching
-  // "token" field is rejected loudly (error frame + disconnect).
-  std::string auth_token;
-  // A lease not refreshed within this window is considered abandoned and
-  // goes back on offer. Workers heartbeat every heartbeat_interval, so the
-  // timeout should be a few intervals.
-  std::chrono::milliseconds lease_timeout{10000};
-  std::chrono::milliseconds heartbeat_interval{1000};
-  bool verbose = false;  // one line per connection/lease/result on stdout
-};
-
-struct CoordinatorStats {
-  SchedulerStats scheduler;
-  std::size_t workers_joined = 0;
-  std::size_t results_received = 0;
-  std::size_t worker_errors = 0;  // error messages + protocol violations
-};
+using CoordinatorOptions = svc::ServiceOptions;
+using CoordinatorStats = svc::ServiceStats;
 
 class Coordinator {
  public:
   // Binds the listener immediately so port() is valid (and workers can
-  // start connecting) before run() is entered.
+  // start connecting; they wait in the kernel backlog) before run().
   explicit Coordinator(CoordinatorOptions opts = {});
-  ~Coordinator();
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  int port() const;
+  int port() const { return port_; }
 
-  // Serve the jobs until every work unit of every plan is complete, then
-  // return one full MetricMap per job (job order). Throws std::runtime_error
-  // if workers disagreed bit-exactly on a metric or a result was malformed.
-  // Callable repeatedly; each call is an independent sweep (workers from a
-  // finished run were told "done" and have disconnected).
+  // Serve the jobs until every one is terminal, tell every attached worker
+  // `done`, and return one full MetricMap per job (job order). Throws
+  // std::runtime_error if a job failed (workers disagreed bit-exactly on a
+  // metric, or a result was malformed) or the min_workers quorum did not
+  // join in time. Callable once per Coordinator; a second call throws
+  // std::logic_error.
   std::vector<core::MetricMap> run(const std::vector<DistJob>& jobs);
 
-  // Accounting of the most recent run().
+  // Accounting of run(); safe to call while run() is in progress.
   CoordinatorStats stats() const;
 
-  // Merged cumulative obs::metrics snapshots the most recent run()'s
-  // workers shipped with their result frames (only populated while tracing;
-  // {} otherwise). Deliberately NOT folded into this process's registry:
-  // per-process metrics files stay process-local and sum without double
-  // counting, and callers wanting one fleet view attach
+  // Merged cumulative obs::metrics snapshots run()'s workers shipped with
+  // their result frames (only populated while tracing; {} otherwise).
+  // Deliberately NOT folded into this process's registry: callers wanting
+  // one fleet view attach
   // obs::merge_snapshots(obs::metrics().snapshot(), worker_metrics()) to
   // their trace summary.
   util::Json worker_metrics() const;
 
  private:
-  struct Impl;
-  Impl* impl_;
+  CoordinatorOptions opts_;
+  net::TcpListener listener_;  // handed to the service by run()
+  int port_ = 0;
+  mutable std::mutex mu_;  // guards service_: stats() may race run()
+  std::unique_ptr<svc::SweepService> service_;
 };
 
 }  // namespace sysnoise::dist

@@ -3,7 +3,9 @@
 // Coordinator and blocks until connected workers have evaluated every work
 // unit — so swapping ThreadPoolExecutor/StagedExecutor for DistExecutor
 // changes where the evaluations run, never the results (bit-identity is the
-// executor contract, and the coordinator enforces it on merge).
+// executor contract, and the service behind the coordinator enforces it on
+// merge). Coordinator::run() is once-only, so each Coordinator backs one
+// execute() call.
 //
 // Note the inversion the distributed runtime forces: the `task` argument is
 // never evaluated locally — workers rebuild their own instance from the
@@ -18,8 +20,9 @@ namespace sysnoise::dist {
 
 class DistExecutor : public core::Executor {
  public:
-  // `coordinator` must outlive the executor. `task_spec` is what workers
-  // resolve (dist/task_factory.h for zoo models).
+  // `coordinator` must outlive the executor and not have run yet.
+  // `task_spec` is what workers resolve (dist/task_factory.h for zoo
+  // models).
   DistExecutor(Coordinator& coordinator, util::Json task_spec)
       : coordinator_(coordinator), task_spec_(std::move(task_spec)) {}
 

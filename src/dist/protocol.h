@@ -1,35 +1,35 @@
 // Wire protocol of the distributed sweep runtime: message vocabulary and
 // the task-spec workers reconstruct their EvalTask from.
 //
+// One server speaks it: the sweep service (svc/service.h), whether resident
+// (sysnoise_svc) or embedded in-process behind dist::Coordinator.
 // Transport: length-prefixed compact JSON frames (net/frame.h) over one TCP
 // connection per worker, strict request/response lockstep driven by the
 // worker:
 //
-//   worker -> coordinator          coordinator -> worker
-//   ---------------------          ---------------------
-//   hello {protocol, worker}       welcome {protocol, heartbeat_ms,
-//                                           jobs: [{task, plan}, ...]}
+//   worker -> service              service -> worker
+//   -----------------              -----------------
+//   hello {protocol, token?}       welcome {protocol, heartbeat_ms}
 //   lease_request {}               lease {job, unit, configs: [i...]}
 //                                  | wait {ms}       (nothing leasable yet)
 //                                  | done {}         (sweep complete)
+//   job_request {job}              job_info {job, task, plan}
 //   heartbeat {}                   ok {}             (refreshes leases)
 //   result {job, unit,             ok {}
-//           metrics: {key: v}}
+//           metrics: {key: v},
+//           obs?}
 //   error {message}                (connection closed)
 //
-// The worker always speaks next; while evaluating a lease it keeps the
-// conversation alive with heartbeats, so a worker silent for longer than a
-// few heartbeat intervals is dead by definition — that silence (or a raw
-// disconnect) is what expires its leases back to the scheduler.
+// The welcome carries no jobs: a lease may name a job the worker has never
+// seen, and the worker fetches its task spec and plan with job_request
+// before evaluating. The worker always speaks next; while evaluating a
+// lease it keeps the conversation alive with heartbeats, so a worker
+// silent for longer than a few heartbeat intervals is dead by definition —
+// that silence (or a raw disconnect) is what expires its leases back to
+// the scheduler. A result's optional "obs" field is the worker's
+// cumulative metrics snapshot, sent only while tracing.
 //
-// The resident sweep service (svc/service.h) speaks a superset of this
-// vocabulary on the same framing. Worker sessions gain dynamic job
-// discovery (the service's welcome carries no jobs — a lease may name a job
-// the worker has never seen, fetched on demand):
-//
-//   job_request {job}              job_info {job, task, plan}
-//
-// and control clients (svc/client.h, sysnoise_ctl) open a connection, send
+// Control clients (svc/client.h, sysnoise_ctl) open a connection, send
 // one request — authenticated by a "token" field when the service was
 // started with a shared secret — and read the reply:
 //
@@ -54,14 +54,14 @@
 
 #include <string>
 
+#include "core/plan.h"
 #include "util/json.h"
 
 namespace sysnoise::dist {
 
-// Bump on incompatible message changes; hello/welcome verify it. (The
-// service/control additions are a compatible superset: version 1 peers
-// never send them.)
-constexpr int kProtocolVersion = 1;
+// Bump on incompatible message changes; hello/welcome verify it. Version 2
+// dropped the welcome's preloaded "jobs": every job arrives via job_request.
+constexpr int kProtocolVersion = 2;
 
 // Message type strings.
 namespace msg {
@@ -75,7 +75,7 @@ inline constexpr const char* kHeartbeat = "heartbeat";
 inline constexpr const char* kResult = "result";
 inline constexpr const char* kOk = "ok";
 inline constexpr const char* kError = "error";
-// Dynamic job discovery (worker <-> service).
+// Job discovery (worker <-> service).
 inline constexpr const char* kJobRequest = "job_request";
 inline constexpr const char* kJobInfo = "job_info";
 // Control plane (client <-> service).
@@ -97,12 +97,19 @@ std::string message_type(const util::Json& j);
 
 // Validate a hello frame: right type, matching protocol version, and — when
 // `auth_token` is non-empty — a matching shared-secret "token" field.
-// Returns "" when acceptable, else the diagnostic for the error reply. The
-// one handshake check behind the coordinator and the sweep service, so auth
-// cannot drift between them.
+// Returns "" when acceptable, else the diagnostic for the error reply.
 std::string check_hello(const util::Json& m, const std::string& auth_token);
 
-// What a worker needs to rebuild the coordinator's EvalTask: the task
+// One schedulable sweep: an opaque task spec the workers resolve (the
+// server never interprets it — tests resolve synthetic tasks, the worker
+// binary resolves zoo models via dist/task_factory.h) plus the plan to
+// evaluate; job_info carries it as {task, plan}.
+struct DistJob {
+  util::Json task_spec;
+  core::SweepPlan plan;
+};
+
+// What a worker needs to rebuild the server's EvalTask: the task
 // family plus the zoo model name (training is deterministic and disk-
 // cached, so "same name" means "same weights" on every machine sharing a
 // SYSNOISE_CACHE_DIR convention — and bit-identical weights even without

@@ -1,6 +1,6 @@
-// Lease bookkeeping of the distributed sweep coordinator and the resident
-// sweep service, factored out of the socket handling so the scheduling
-// policy is testable without a network: work units (stage-key groups of
+// Lease bookkeeping of the sweep service (svc/service.h), factored out of
+// the socket handling so the scheduling policy is testable without a
+// network: work units (stage-key groups of
 // plan config indices, tagged with their job) are leased to workers on
 // demand — work-stealing style, fast workers simply come back for more —
 // and every lease carries a deadline refreshed by the owning worker's
@@ -10,9 +10,9 @@
 // original owner is still accepted, since executors are required to be
 // bit-identical.
 //
-// For the service the pool is dynamic (add_units as jobs are submitted,
-// drop_job on cancel) and prioritized: acquire leases the
-// highest-priority pending unit, submission order within a priority.
+// The pool is dynamic (add_units as jobs are submitted, drop_job on
+// cancel) and prioritized: acquire leases the highest-priority pending
+// unit, submission order within a priority.
 #pragma once
 
 #include <chrono>
@@ -48,13 +48,8 @@ class LeaseScheduler {
   LeaseScheduler(std::vector<WorkUnit> units,
                  std::chrono::milliseconds lease_timeout);
 
-  // Unsynchronized view of the pool: safe ONLY while no add_units can run
-  // concurrently (the coordinator's fixed pool). With a dynamic pool,
-  // add_units may reallocate the vector mid-read — use unit_at() instead.
-  const std::vector<WorkUnit>& units() const { return units_; }
-
-  // A copy of unit `i`, taken under the scheduler lock — the safe way to
-  // read a unit while submissions may be growing the pool.
+  // A copy of unit `i`, taken under the scheduler lock: submissions may be
+  // growing (and reallocating) the pool concurrently.
   WorkUnit unit_at(std::size_t i) const;
 
   // Append more leasable units (a newly-submitted service job). Returns the

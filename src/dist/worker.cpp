@@ -24,11 +24,9 @@ namespace sysnoise::dist {
 
 namespace {
 
-// One job this worker knows about: preloaded from the welcome frame
-// (coordinator) or fetched on demand via job_request (service, whose jobs
-// arrive while workers are already attached). The resolved task lives here
-// too, so resolution — possibly training a model — happens at most once per
-// job.
+// One job this worker knows about, fetched via job_request when a lease
+// first names it. The resolved task lives here too, so resolution —
+// possibly training a model — happens at most once per job.
 struct KnownJob {
   util::Json task_spec;
   core::SweepPlan plan;
@@ -41,7 +39,7 @@ void wlog(const WorkerOptions& opts, const std::string& line) {
   std::fflush(stdout);
 }
 
-// Send an error frame (best effort) so the coordinator can log why this
+// Send an error frame (best effort) so the server can log why this
 // worker is about to disappear.
 void send_error(net::TcpSocket& sock, const std::string& message) {
   util::Json err = make_message(msg::kError);
@@ -91,14 +89,7 @@ WorkerRunStats run_worker(const std::string& host, int port,
   try {
     const int heartbeat_ms = welcome.at("heartbeat_ms").as_int();
     std::map<int, KnownJob> jobs;
-    const util::Json& jjobs = welcome.at("jobs");
-    for (std::size_t i = 0; i < jjobs.size(); ++i)
-      jobs.emplace(static_cast<int>(i),
-                   KnownJob{jjobs.at(i).at("task"),
-                            core::SweepPlan::from_json(jjobs.at(i).at("plan")),
-                            std::nullopt});
-    wlog(opts, "joined: " + std::to_string(jobs.size()) + " jobs, heartbeat " +
-                   std::to_string(heartbeat_ms) + "ms");
+    wlog(opts, "joined: heartbeat " + std::to_string(heartbeat_ms) + "ms");
 
     core::SweepCache cache;  // worker-wide metric memo across leases
     const core::StagedExecutor executor(opts.stats, opts.disk);
@@ -151,8 +142,7 @@ WorkerRunStats run_worker(const std::string& host, int port,
       const int unit = reply.at("unit").as_int();
       auto it = jobs.find(job);
       if (it == jobs.end()) {
-        // A service job submitted after this worker's welcome: fetch its
-        // spec and plan before evaluating the lease.
+        // First lease of this job: fetch its spec and plan.
         util::Json req = make_message(msg::kJobRequest);
         req.set("job", job);
         util::Json info;
@@ -183,8 +173,8 @@ WorkerRunStats run_worker(const std::string& host, int port,
                      std::to_string(unit) + " (" +
                      std::to_string(indices.size()) + " configs)");
 
-      // Lease lifecycle span, correlated with the coordinator's grant span
-      // by the shared "j<job>u<unit>" lease id (both sides derive it from
+      // Lease lifecycle span, correlated with the service's svc.lease_grant
+      // span by the shared "j<job>u<unit>" lease id (both sides derive it from
       // the lease frame — no extra protocol field needed).
       obs::TraceSpan lease_span("worker.lease");
       if (lease_span.active()) {
@@ -260,7 +250,7 @@ WorkerRunStats run_worker(const std::string& host, int port,
         // Ship this worker's cumulative metric snapshot with the result so
         // the coordinator's per-sweep summary covers the whole fleet. The
         // field is absent when tracing is off — the frame bytes are
-        // unchanged — and cumulative, so the coordinator keeps only the
+        // unchanged — and cumulative, so the service keeps only the
         // latest snapshot per worker rather than summing.
         obs::metrics().counter_add("worker.leases_completed");
         obs::metrics().counter_add("worker.configs_evaluated",

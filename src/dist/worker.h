@@ -1,13 +1,12 @@
-// The worker half of the distributed sweep runtime: connect to a
-// coordinator (or a resident sweep service), reconstruct the jobs'
-// EvalTasks from the task specs in the welcome frame — or fetch them on
-// demand with job_request when a lease names a job submitted after this
-// worker joined — then pull leases until the server says done. Each
-// lease (a stage-key work unit: plan config indices) is evaluated through
-// the existing StagedExecutor — optionally backed by the shared disk
-// StageCache, so workers on one machine (or one shared filesystem) reuse
-// each other's pre-processed batches and forward products — while a
-// background heartbeat keeps the lease alive.
+// The worker half of the distributed sweep runtime: connect to a sweep
+// service (resident, or embedded behind dist::Coordinator), pull leases
+// until the server says done, and fetch each job's task spec and plan with
+// job_request the first time a lease names it. Each lease (a stage-key
+// work unit: plan config indices) is evaluated through the existing
+// StagedExecutor — optionally backed by the shared disk StageCache, so
+// workers on one machine (or one shared filesystem) reuse each other's
+// pre-processed batches and forward products — while a background
+// heartbeat keeps the lease alive.
 //
 // Task resolution is pluggable so the runtime stays model-agnostic: the
 // worker binary and bench `--connect` mode resolve zoo models

@@ -1,7 +1,7 @@
 // Process-wide measurement primitives and the metrics registry.
 //
-// The histogram/gauge types originated in serve/metrics.h (which now
-// re-exports them) and keep their contracts: the histogram's bucket bounds
+// The histogram/gauge types originated in the serving layer and keep their
+// contracts: the histogram's bucket bounds
 // are a fixed, process-wide geometric grid (quarter-octave steps from 1
 // microsecond up, plus an overflow bucket), so histograms recorded by
 // different workers, replay cells or processes merge by adding counts — no

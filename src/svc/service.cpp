@@ -19,7 +19,6 @@
 #include <sys/socket.h>
 
 #include "dist/protocol.h"
-#include "dist/result_merge.h"
 #include "dist/scheduler.h"
 #include "net/frame.h"
 #include "net/socket.h"
@@ -43,6 +42,48 @@ util::Json metrics_to_json(const core::MetricMap& metrics) {
   util::Json j = util::Json::object();
   for (const auto& [key, value] : metrics) j.set(key, value);
   return j;
+}
+
+// The (job, unit, metrics) triple of a shape-checked result frame.
+// `metrics` points into the frame and is only valid while it lives.
+struct ParsedResult {
+  int job = -1;
+  std::size_t unit = 0;
+  const util::Json* metrics = nullptr;
+};
+
+// Returns "" and fills *out when the frame has {job, unit, metrics-object}
+// with non-negative job and unit, else a diagnostic.
+std::string parse_result_frame(const util::Json& m, ParsedResult* out) {
+  const util::Json* jjob = m.get("job");
+  const util::Json* junit = m.get("unit");
+  const util::Json* jmetrics = m.get("metrics");
+  if (jjob == nullptr || !jjob->is_number() || junit == nullptr ||
+      !junit->is_number() || jmetrics == nullptr || !jmetrics->is_object())
+    return "malformed result frame";
+  const int job = jjob->as_int();
+  const int unit = junit->as_int();
+  if (job < 0 || unit < 0) return "result for negative job/unit";
+  out->job = job;
+  out->unit = static_cast<std::size_t>(unit);
+  out->metrics = jmetrics;
+  return "";
+}
+
+// Fold a metrics object into `merged`. Executors are bit-identical, so a
+// re-reported key (a unit completed by both the original and a
+// replacement worker) must agree exactly; a mismatch means
+// non-determinism and must fail the job, never average out. Returns "" on
+// success, else the diagnostic; on failure `merged` may hold a prefix of
+// the frame's keys, which is never served because the job is failed.
+std::string merge_metrics(core::MetricMap& merged, const util::Json& jmetrics) {
+  for (const auto& [key, value] : jmetrics.items()) {
+    if (!value.is_number()) return "non-numeric metric \"" + key + "\"";
+    const auto [it, inserted] = merged.emplace(key, value.as_number());
+    if (!inserted && it->second != value.as_number())
+      return "workers disagree on \"" + key + "\"";
+  }
+  return "";
 }
 
 }  // namespace
@@ -89,11 +130,16 @@ struct SweepService::Impl {
   std::unique_ptr<Journal> journal;  // null = volatile service
   std::unique_ptr<LeaseScheduler> scheduler;
   std::unique_ptr<obs::EventLog> events;  // no-op when opts.event_sink null
+  // Serving a fixed job list (the in-process constructor): answer `done`
+  // rather than `wait` once the queue has drained.
+  bool fixed_jobs = false;
 
-  mutable std::mutex mu;  // jobs, next_job_id, roster, idem_to_job
+  mutable std::mutex mu;  // jobs, next_job_id, roster, idem_to_job, worker_obs
   std::map<int, JobState> jobs;
   int next_job_id = 1;
   std::map<int, std::string> roster;  // worker id -> peer "ip:port"
+  // Latest cumulative obs::metrics snapshot per worker, from result frames.
+  std::map<int, util::Json> worker_obs;
   // Submit idempotency keys -> job ids, rebuilt from the journal on replay:
   // a client retrying a submit whose reply was lost (even to a crash) gets
   // the job the first attempt registered instead of a duplicate sweep.
@@ -125,6 +171,7 @@ struct SweepService::Impl {
   std::vector<Handler> handlers;
 
   void log(const char* fmt, ...) const;
+  void start(net::TcpListener bound, const std::vector<dist::DistJob>& fixed);
   void replay();
   int register_job(std::string name, int priority, util::Json task_spec,
                    core::SweepPlan plan, int forced_id, bool journal_it,
@@ -268,7 +315,7 @@ void SweepService::Impl::replay() {
                                  std::to_string(id));
       if (job.unit_done[local]) continue;  // duplicate record: idempotent
       const std::string merge_error =
-          dist::merge_metrics(job.merged, record.at("metrics"));
+          merge_metrics(job.merged, record.at("metrics"));
       if (!merge_error.empty())
         throw std::runtime_error(
             "SweepService: journal replay of job " + std::to_string(id) +
@@ -379,8 +426,8 @@ util::Json SweepService::Impl::status_json() const {
 }
 
 bool SweepService::Impl::handle_result(const util::Json& m, int worker_id) {
-  dist::ParsedResult parsed;
-  std::string error = dist::parse_result_frame(m, &parsed);
+  ParsedResult parsed;
+  std::string error = parse_result_frame(m, &parsed);
   {
     std::lock_guard<std::mutex> lock(mu);
     JobState* job = nullptr;
@@ -393,6 +440,9 @@ bool SweepService::Impl::handle_result(const util::Json& m, int worker_id) {
       else
         job = &it->second;
     }
+    if (error.empty())
+      if (const util::Json* snap = m.get("obs"))
+        worker_obs[worker_id] = *snap;  // cumulative: latest wins
     if (error.empty() && job->canceled) {
       // The job was canceled while this worker was evaluating: accept the
       // frame politely (the worker did nothing wrong) and drop the result.
@@ -402,7 +452,7 @@ bool SweepService::Impl::handle_result(const util::Json& m, int worker_id) {
     }
     if (error.empty()) {
       const std::string merge_error =
-          dist::merge_metrics(job->merged, *parsed.metrics);
+          merge_metrics(job->merged, *parsed.metrics);
       if (!merge_error.empty()) {
         // Bit-exactness violation: fail THIS JOB loudly (the merged map is
         // poisoned) but keep serving the others.
@@ -494,13 +544,12 @@ void SweepService::Impl::serve_worker(net::TcpSocket& sock,
   }
   if (obs::trace_enabled()) obs::metrics().counter_add("svc.workers_joined");
 
-  // Unlike the coordinator, the welcome carries no jobs: they arrive while
-  // workers are already attached, fetched on demand via job_request.
+  // The welcome carries no jobs: workers fetch each one on demand via
+  // job_request when a lease first names it.
   util::Json welcome = make_message(msg::kWelcome);
   welcome.set("protocol", dist::kProtocolVersion);
   welcome.set("heartbeat_ms",
               static_cast<int>(opts.heartbeat_interval.count()));
-  welcome.set("jobs", util::Json::array());
 
   const int wait_ms = static_cast<int>(opts.heartbeat_interval.count());
   util::Json m;
@@ -517,8 +566,11 @@ void SweepService::Impl::serve_worker(net::TcpSocket& sock,
         if (obs::trace_enabled())
           obs::metrics().gauge_add(
               "svc.queue_depth", static_cast<double>(scheduler->remaining()));
-        if (const std::optional<std::size_t> unit =
-                scheduler->acquire(worker_id, Clock::now())) {
+        std::optional<std::size_t> unit;
+        // The join gate: hold every lease until min_workers ever joined.
+        if (workers_joined.load() >= static_cast<std::size_t>(opts.min_workers))
+          unit = scheduler->acquire(worker_id, Clock::now());
+        if (unit.has_value()) {
           // Copy, not a reference: a concurrent submit's add_units may
           // reallocate the scheduler's unit vector while we read.
           const WorkUnit wu = scheduler->unit_at(*unit);
@@ -535,6 +587,7 @@ void SweepService::Impl::serve_worker(net::TcpSocket& sock,
             grant_span.attr("lease", "j" + std::to_string(wu.job) + "u" +
                                          std::to_string(*unit));
             grant_span.attr("worker", worker_id);
+            grant_span.attr("configs", wu.configs.size());
           }
           std::lock_guard<std::mutex> lock(mu);
           const auto it = jobs.find(wu.job);
@@ -556,6 +609,11 @@ void SweepService::Impl::serve_worker(net::TcpSocket& sock,
             // losing a grant to a crash costs nothing, so skip the fsync.
             journal->append(rec, /*sync=*/false);
           }
+        } else if (fixed_jobs && scheduler->all_done()) {
+          // The fixed job list is finished: answer done and hang up —
+          // waiting for the worker's close would race stop()'s nudge.
+          net::send_json(sock, make_message(msg::kDone));
+          break;
         } else {
           // A drained queue is NOT "done" for a resident service — the next
           // submission may be seconds away. Workers idle on wait forever.
@@ -815,43 +873,49 @@ void SweepService::Impl::accept_loop() {
   listener.close();
 }
 
-SweepService::SweepService(ServiceOptions opts) : impl_(new Impl) {
-  Impl& im = *impl_;
-  im.opts = std::move(opts);
-  im.events = std::make_unique<obs::EventLog>(im.opts.event_sink);
-  im.scheduler = std::make_unique<LeaseScheduler>(std::vector<WorkUnit>{},
-                                                  im.opts.lease_timeout);
-  im.scheduler->set_on_expire([&im](std::size_t unit, int job, int worker) {
+// Shared constructor body: replay the journal, bind unless handed a bound
+// listener, register the fixed jobs, and only then start accepting — so
+// no worker can find the queue empty before they are on offer.
+void SweepService::Impl::start(net::TcpListener bound,
+                               const std::vector<dist::DistJob>& fixed) {
+  events = std::make_unique<obs::EventLog>(opts.event_sink);
+  scheduler = std::make_unique<LeaseScheduler>(std::vector<WorkUnit>{},
+                                               opts.lease_timeout);
+  scheduler->set_on_expire([this](std::size_t unit, int job, int worker) {
     util::Json fields = util::Json::object();
     fields.set("job", job);
     fields.set("unit", static_cast<int>(unit));
     fields.set("worker", worker);
-    im.events->emit("lease_expired", std::move(fields));
+    events->emit("lease_expired", std::move(fields));
   });
-  if (!im.opts.journal_path.empty()) {
-    try {
-      im.replay();  // resume everything the previous incarnation recorded
-      im.journal = std::make_unique<Journal>(im.opts.journal_path);
-    } catch (...) {
-      delete impl_;
-      throw;
-    }
+  if (!opts.journal_path.empty()) {
+    replay();  // resume everything the previous incarnation recorded
+    journal = std::make_unique<Journal>(opts.journal_path);
   }
-  try {
-    im.listener = net::TcpListener::listen(im.opts.port);
-  } catch (...) {
-    delete impl_;
-    throw;
-  }
-  im.log("serving on port %d (journal: %s)", im.listener.port(),
-         im.opts.journal_path.empty() ? "none" : im.opts.journal_path.c_str());
-  im.accept_thread = std::thread([&im] { im.accept_loop(); });
+  listener = bound.valid() ? std::move(bound)
+                           : net::TcpListener::listen(opts.port);
+  for (const dist::DistJob& job : fixed)
+    register_job(job.plan.task, 0, job.task_spec, job.plan, /*forced_id=*/0,
+                 /*journal_it=*/true, "");
+  log("serving on port %d (journal: %s)", listener.port(),
+      opts.journal_path.empty() ? "none" : opts.journal_path.c_str());
+  accept_thread = std::thread([this] { accept_loop(); });
 }
 
-SweepService::~SweepService() {
-  stop();
-  delete impl_;
+SweepService::SweepService(ServiceOptions opts) : impl_(new Impl) {
+  impl_->opts = std::move(opts);
+  impl_->start(net::TcpListener(), {});
 }
+
+SweepService::SweepService(ServiceOptions opts, net::TcpListener listener,
+                           const std::vector<dist::DistJob>& jobs)
+    : impl_(new Impl) {
+  impl_->opts = std::move(opts);
+  impl_->fixed_jobs = true;
+  impl_->start(std::move(listener), jobs);
+}
+
+SweepService::~SweepService() { stop(); }
 
 int SweepService::port() const { return impl_->listener.port(); }
 
@@ -901,6 +965,7 @@ bool SweepService::wait_idle(std::chrono::milliseconds timeout) const {
 
 ServiceStats SweepService::stats() const {
   ServiceStats s;
+  s.scheduler = impl_->scheduler->stats();
   s.workers_joined = impl_->workers_joined.load();
   s.workers_active = impl_->workers_active.load();
   s.results_received = impl_->results_received.load();
@@ -910,6 +975,36 @@ ServiceStats SweepService::stats() const {
   s.handlers_live = static_cast<std::size_t>(impl_->active_handlers.load());
   s.crash_hook_fired = impl_->crashed.load();
   return s;
+}
+
+core::MetricMap SweepService::result(int job) const {
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  const auto it = impl_->jobs.find(job);
+  if (it == impl_->jobs.end())
+    throw std::runtime_error("unknown job " + std::to_string(job));
+  const JobState& state = it->second;
+  if (!state.error.empty()) throw std::runtime_error(state.error);
+  if (!state.terminal() || state.canceled)
+    throw std::runtime_error("job " + std::to_string(job) + " is " +
+                             state.state());
+  // Unit coverage is guaranteed; check the metrics cover the plan too, so
+  // a worker reporting the wrong keys cannot make assembly throw later.
+  for (const core::PlannedConfig& p : state.plan.configs)
+    if (state.merged.find(p.metric_key) == state.merged.end())
+      throw std::runtime_error("completed job left no metric for \"" +
+                               p.metric_key + "\"");
+  return state.merged;
+}
+
+util::Json SweepService::worker_metrics() const {
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  util::Json merged = util::Json::object();
+  bool first = true;
+  for (const auto& [id, snap] : impl_->worker_obs) {
+    merged = first ? snap : obs::merge_snapshots(merged, snap);
+    first = false;
+  }
+  return merged;
 }
 
 }  // namespace sysnoise::svc

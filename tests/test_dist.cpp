@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,8 @@
 #include "models/zoo.h"
 #include "net/frame.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/json.h"
 
 namespace sysnoise::dist {
@@ -257,13 +260,37 @@ TEST(Distributed, MinWorkersHoldsLeasesUntilQuorum) {
   const SyntheticStagedTask task(TaskKind::kClassification, false);
   CoordinatorOptions opts = fast_opts();
   opts.min_workers = 2;
-  CoordinatorStats stats;
   const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
   const AxisReport expected =
       core::assemble_report(plan, core::ThreadPoolExecutor().execute(task, plan));
-  const AxisReport report = loopback_sweep(task, 2, opts, &stats);
-  expect_reports_identical(expected, report);
-  EXPECT_EQ(stats.workers_joined, 2u);
+  Coordinator coordinator(opts);
+  std::thread first([&] {
+    run_worker("127.0.0.1", coordinator.port(), fixed_resolver(task), {});
+  });
+  // The second worker is held back until the first has joined and asked
+  // for leases for several heartbeat intervals: none may be granted.
+  std::thread second([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (coordinator.stats().workers_joined < 1 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(coordinator.stats().workers_joined, 1u);
+    std::this_thread::sleep_for(4 * opts.heartbeat_interval);
+    const std::size_t granted = coordinator.stats().scheduler.leases_granted;
+    EXPECT_EQ(granted, 0u);
+    // Without the gate the first worker may already have finished the
+    // sweep and closed the port; only a held sweep needs a second worker.
+    if (granted == 0)
+      run_worker("127.0.0.1", coordinator.port(), fixed_resolver(task), {});
+  });
+  const std::vector<MetricMap> results =
+      coordinator.run({DistJob{util::Json::object(), plan}});
+  first.join();
+  second.join();
+  expect_reports_identical(expected,
+                           core::assemble_report(plan, results.at(0)));
+  EXPECT_EQ(coordinator.stats().workers_joined, 2u);
 }
 
 TEST(Distributed, MinWorkersTimeoutFailsLoudly) {
@@ -457,12 +484,17 @@ TEST(Distributed, LateResultFromExpiredLeaseIsAcceptedOrDuplicate) {
     ASSERT_TRUE(net::send_json(sock, hello));
     util::Json welcome;
     ASSERT_TRUE(net::recv_json(sock, &welcome));
-    const SweepPlan wplan =
-        SweepPlan::from_json(welcome.at("jobs").at(0).at("plan"));
     ASSERT_TRUE(net::send_json(sock, make_message(msg::kLeaseRequest)));
     util::Json lease;
     ASSERT_TRUE(net::recv_json(sock, &lease));
     ASSERT_EQ(message_type(lease), "lease");
+    util::Json request = make_message(msg::kJobRequest);
+    request.set("job", lease.at("job").as_int());
+    ASSERT_TRUE(net::send_json(sock, request));
+    util::Json info;
+    ASSERT_TRUE(net::recv_json(sock, &info));
+    ASSERT_EQ(message_type(info), "job_info");
+    const SweepPlan wplan = SweepPlan::from_json(info.at("plan"));
     // Sleep past expiry, then evaluate honestly and submit late.
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
     std::vector<std::size_t> indices;
@@ -570,6 +602,52 @@ TEST(Distributed, GarbageConnectionDoesNotKillTheCoordinator) {
   expect_reports_identical(expected,
                            core::assemble_report(plan, results.at(0)));
   EXPECT_GE(coordinator.stats().worker_errors, 1u);
+}
+
+TEST(Distributed, RunIsOnceOnly) {
+  Coordinator coordinator(fast_opts());
+  EXPECT_TRUE(coordinator.run({}).empty());
+  EXPECT_THROW(coordinator.run({}), std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// fleet metrics
+// ---------------------------------------------------------------------------
+
+// A 2-worker loopback through the coordinator; returns worker_metrics().
+util::Json loopback_worker_metrics(const SyntheticStagedTask& task) {
+  const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
+  Coordinator coordinator(fast_opts());
+  std::vector<std::thread> pool;
+  for (int w = 0; w < 2; ++w)
+    pool.emplace_back([&] {
+      run_worker("127.0.0.1", coordinator.port(), fixed_resolver(task), {});
+    });
+  coordinator.run({DistJob{util::Json::object(), plan}});
+  for (std::thread& t : pool) t.join();
+  return coordinator.worker_metrics();
+}
+
+TEST(Distributed, WorkerMetricsCarryTheWorkersSnapshotsWhileTracing) {
+  const SyntheticStagedTask task(TaskKind::kClassification, false);
+  obs::metrics().reset();
+  obs::trace_enable();
+  const util::Json fleet = loopback_worker_metrics(task);
+  obs::trace_disable();
+  obs::trace_reset();
+  obs::metrics().reset();
+  ASSERT_TRUE(fleet.is_object());
+  const util::Json* counters = fleet.get("counters");
+  ASSERT_NE(counters, nullptr) << fleet.dump();
+  const util::Json* leases = counters->get("worker.leases_completed");
+  ASSERT_NE(leases, nullptr) << fleet.dump();
+  EXPECT_GE(leases->as_number(), 1.0);
+}
+
+TEST(Distributed, WorkerMetricsAreEmptyWithTracingOff) {
+  const SyntheticStagedTask task(TaskKind::kClassification, false);
+  ASSERT_FALSE(obs::trace_enabled());
+  EXPECT_EQ(loopback_worker_metrics(task).dump(), "{}");
 }
 
 // ---------------------------------------------------------------------------

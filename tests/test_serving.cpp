@@ -22,7 +22,7 @@
 
 #include "data/noise_config.h"
 #include "models/zoo.h"
-#include "serve/metrics.h"
+#include "obs/metrics.h"
 #include "serve/server.h"
 #include "serve/serving_model.h"
 #include "serve/trace.h"
@@ -42,14 +42,14 @@ double reference_quantile(std::vector<double> vals, double q) {
   const auto rank = static_cast<std::size_t>(
       std::max(1.0, std::ceil(q * static_cast<double>(vals.size()))));
   const double v = vals[rank - 1];
-  const auto& bounds = LatencyHistogram::bucket_bounds();
+  const auto& bounds = obs::LatencyHistogram::bucket_bounds();
   const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
   return it == bounds.end() ? bounds.back() : *it;
 }
 
 TEST(ServeMetrics, QuantilesExactOnKnownDistributions) {
   // Two-point mass: ranks land exactly on the bucket boundaries.
-  LatencyHistogram h;
+  obs::LatencyHistogram h;
   for (int i = 0; i < 50; ++i) h.record(1.0);
   for (int i = 0; i < 50; ++i) h.record(100.0);
   const std::vector<double> low(50, 1.0);
@@ -64,7 +64,7 @@ TEST(ServeMetrics, QuantilesExactOnKnownDistributions) {
 
   // A spread over many decades: every quantile matches the reference.
   Rng rng(11);
-  LatencyHistogram g;
+  obs::LatencyHistogram g;
   std::vector<double> vals;
   for (int i = 0; i < 500; ++i) {
     const double ms = 0.01 * std::pow(2.0, rng.uniform() * 20.0);
@@ -77,18 +77,19 @@ TEST(ServeMetrics, QuantilesExactOnKnownDistributions) {
 }
 
 TEST(ServeMetrics, EmptyAndOverflowBehavior) {
-  LatencyHistogram h;
+  obs::LatencyHistogram h;
   EXPECT_EQ(h.quantile_bound(0.5), 0.0);
   EXPECT_EQ(h.total(), 0u);
   h.record(1e9);  // far above the last finite bound
   EXPECT_EQ(h.total(), 1u);
-  EXPECT_EQ(h.quantile_bound(0.5), LatencyHistogram::bucket_bounds().back());
+  EXPECT_EQ(h.quantile_bound(0.5),
+            obs::LatencyHistogram::bucket_bounds().back());
 }
 
 TEST(ServeMetrics, MergedHistogramEqualsSingleHistogram) {
   Rng rng(29);
-  LatencyHistogram single;
-  LatencyHistogram parts[3];
+  obs::LatencyHistogram single;
+  obs::LatencyHistogram parts[3];
   for (int i = 0; i < 600; ++i) {
     // Power-of-two values spanning the grid: every partial sum is exactly
     // representable, so even sum_ms is invariant to recording order and the
@@ -98,8 +99,8 @@ TEST(ServeMetrics, MergedHistogramEqualsSingleHistogram) {
     single.record(ms);
     parts[i % 3].record(ms);
   }
-  LatencyHistogram merged;
-  for (const LatencyHistogram& p : parts) merged.merge(p);
+  obs::LatencyHistogram merged;
+  for (const obs::LatencyHistogram& p : parts) merged.merge(p);
   EXPECT_EQ(merged.counts(), single.counts());
   EXPECT_EQ(merged.total(), single.total());
   EXPECT_EQ(merged.sum_ms(), single.sum_ms());
@@ -109,13 +110,13 @@ TEST(ServeMetrics, MergedHistogramEqualsSingleHistogram) {
 }
 
 TEST(ServeMetrics, GaugeMergeMatchesCombinedSeries) {
-  GaugeStats a, b, all;
+  obs::GaugeStats a, b, all;
   for (int i = 0; i < 10; ++i) {
     const double v = (i * 7) % 13;
     (i % 2 == 0 ? a : b).add(v);
     all.add(v);
   }
-  GaugeStats merged = a;
+  obs::GaugeStats merged = a;
   merged.merge(b);
   EXPECT_EQ(merged.count, all.count);
   EXPECT_EQ(merged.sum, all.sum);

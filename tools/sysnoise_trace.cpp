@@ -17,8 +17,8 @@
 //   3. merges the metrics snapshots (obs::merge_snapshots) and writes a
 //      fleet-wide summary (<PREFIX>_summary.json) via obs::summarize_events,
 //      including a "leases" section correlating worker-side spans
-//      (worker.lease) with their grant-side twins (coord.lease_grant /
-//      svc.lease_grant) by the shared lease-id attribute.
+//      (worker.lease) with their grant-side twins (svc.lease_grant) by the
+//      shared lease-id attribute.
 //
 // --out defaults to DIR/merged (or ./merged for explicit file lists).
 // Exit status: 0 valid, 1 validation failure, 2 usage/io errors.
@@ -134,7 +134,7 @@ bool is_worker_lease_span(const std::string& name) {
   return name == "worker.lease";
 }
 bool is_grant_lease_span(const std::string& name) {
-  return name == "coord.lease_grant" || name == "svc.lease_grant";
+  return name == "svc.lease_grant";
 }
 
 }  // namespace
