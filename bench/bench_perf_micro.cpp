@@ -4,11 +4,11 @@
 // full-table sweep engine (serial baseline vs memoized/parallel vs staged).
 //
 // Besides the google-benchmark tables, the binary emits a machine-readable
-// BENCH_perf.json (serial vs memoized vs staged vs cross-config-batched
-// sweep timings plus stage-cache/batched-forward accounting and bit-identity
-// checks) so the perf trajectory is tracked across PRs — the CI perf-gate
-// job asserts its invariants on every push. Set SYSNOISE_PERF_JSON to
-// override the output path (default: $SYSNOISE_RESULTS_DIR/BENCH_perf.json).
+// BENCH_perf.json (serial vs memoized vs staged sweep timings plus
+// stage-cache accounting and bit-identity checks) so the perf trajectory is
+// tracked across PRs — the CI perf-gate job asserts its invariants on every
+// push. Set SYSNOISE_PERF_JSON to override the output path (default:
+// $SYSNOISE_RESULTS_DIR/BENCH_perf.json).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -120,13 +120,11 @@ BENCHMARK(BM_ClassifierForward);
 
 // Detection-shaped staged SyntheticTasks with per-stage busywork mirroring
 // where real evaluations spend time (pre-processing dominates, the forward
-// pass is substantial with a fixed per-invocation overhead that batching
-// amortizes, post-processing is cheap), so sweep-engine scheduling, stage
-// sharing and cross-config batching can be measured without training a zoo.
+// pass is substantial, post-processing is cheap), so sweep-engine
+// scheduling and stage sharing can be measured without training a zoo.
 core::SyntheticStagedTask make_sweep_task(core::TaskKind kind) {
   return {kind, /*has_maxpool=*/true, /*pre_rounds=*/4000,
-          /*fwd_rounds=*/1000, /*post_rounds=*/50,
-          /*fwd_overhead_rounds=*/2000};
+          /*fwd_rounds=*/1000, /*post_rounds=*/50};
 }
 
 int pool_threads() {
@@ -168,8 +166,7 @@ BENCHMARK(BM_FullTableSweepMemoParallel)->Unit(benchmark::kMillisecond);
 
 // Staged engine: same memo + pool, plus stage-keyed intermediate sharing —
 // pre-processing runs once per preprocess key and the detection post-proc
-// axis reuses cached forward outputs. Cross-config batching disabled so the
-// batched engine below has a clean baseline.
+// axis reuses cached forward outputs.
 void BM_FullTableSweepStaged(benchmark::State& state) {
   const auto task = make_sweep_task(core::TaskKind::kDetection);
   const double trained = task.evaluate(SysNoiseConfig::training_default());
@@ -179,30 +176,11 @@ void BM_FullTableSweepStaged(benchmark::State& state) {
     core::SweepOptions opts;
     opts.threads = pool_threads();
     opts.cache = &cache;
-    opts.batch_forwards = false;
     benchmark::DoNotOptimize(core::staged_sweep(task, opts));
     benchmark::DoNotOptimize(core::staged_stepwise(task, opts));
   }
 }
 BENCHMARK(BM_FullTableSweepStaged)->Unit(benchmark::kMillisecond);
-
-// Batched engine (PR 5): staged sharing plus cross-config batched forwards —
-// forward-batch-compatible configs (same weights + inference knobs) stack
-// their stage-1 batches through one network invocation.
-void BM_FullTableSweepBatched(benchmark::State& state) {
-  const auto task = make_sweep_task(core::TaskKind::kDetection);
-  const double trained = task.evaluate(SysNoiseConfig::training_default());
-  for (auto _ : state) {
-    core::SweepCache cache;
-    cache.seed(task, SysNoiseConfig::training_default(), trained);
-    core::SweepOptions opts;
-    opts.threads = pool_threads();
-    opts.cache = &cache;
-    benchmark::DoNotOptimize(core::staged_sweep(task, opts));
-    benchmark::DoNotOptimize(core::staged_stepwise(task, opts));
-  }
-}
-BENCHMARK(BM_FullTableSweepBatched)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // BENCH_perf.json: the cross-PR perf trajectory record
@@ -263,27 +241,10 @@ std::string perf_json_workload(const char* name, core::TaskKind kind) {
         core::SweepOptions opts;
         opts.threads = pool_threads();
         opts.cache = &cache;
-        opts.batch_forwards = false;
         stats = {};
         staged_report = core::staged_sweep(task, opts, &stats);
       },
       kGatedReps);
-
-  // The batched engine: staged sharing plus cross-config batched forwards.
-  // Same report bits; fewer network invocations (batched_forward_calls).
-  core::AxisReport batched_report;
-  core::StageStats batched_stats;
-  const double batched_ms = time_ms([&] {
-    core::SweepCache cache;
-    core::SweepOptions opts;
-    opts.threads = pool_threads();
-    opts.cache = &cache;
-    batched_stats = {};
-    batched_report = core::staged_sweep(task, opts, &batched_stats);
-  });
-  const double configs_per_batch =
-      static_cast<double>(batched_stats.evaluations) /
-      static_cast<double>(std::max<std::size_t>(1, batched_stats.batched_forward_calls));
 
   std::ostringstream os;
   os << "    {\"task\": \"" << name << "\",\n"
@@ -296,29 +257,19 @@ std::string perf_json_workload(const char* name, core::TaskKind kind) {
      << "     \"bit_identical_to_serial\": "
      << (reports_identical(serial_report, staged_report) ? "true" : "false")
      << ",\n"
-     << "     \"batched_sweep_ms\": " << batched_ms << ",\n"
-     << "     \"batched_speedup_vs_staged\": " << staged_ms / batched_ms
-     << ",\n"
-     << "     \"batched_bit_identical_to_serial\": "
-     << (reports_identical(serial_report, batched_report) ? "true" : "false")
-     << ",\n"
      << "     \"stage_stats\": {\"evaluations\": " << stats.evaluations
      << ", \"preprocess_misses\": " << stats.preprocess_misses
      << ", \"preprocess_hits\": " << stats.preprocess_hits
      << ", \"forward_misses\": " << stats.forward_misses
-     << ", \"forward_hits\": " << stats.forward_hits << "},\n"
-     << "     \"batched_stats\": {\"evaluations\": " << batched_stats.evaluations
-     << ", \"batched_forward_calls\": " << batched_stats.batched_forward_calls
-     << ", \"configs_per_batch\": " << configs_per_batch
-     << ", \"max_configs_per_batch\": " << batched_stats.max_configs_per_batch
-     << ", \"forward_misses\": " << batched_stats.forward_misses << "}}";
+     << ", \"forward_hits\": " << stats.forward_hits << "}}";
   return os.str();
 }
 
 // Cold-vs-warm disk StageCache: the same staged sweep run against an empty
 // stage directory (cold: every preprocess product computed and persisted)
 // and again in a fresh executor/memo against the populated directory
-// (warm: every product loaded, zero preprocess computations).
+// (warm: every forward product loaded, so zero preprocess and zero forward
+// computations).
 std::string perf_json_disk_cache() {
   const auto task = make_sweep_task(core::TaskKind::kDetection);
   const std::string dir =
@@ -353,8 +304,13 @@ std::string perf_json_disk_cache() {
      << "    \"cold_preprocess_computed\": " << cold_stats.preprocess_computed
      << ",\n"
      << "    \"cold_persisted\": " << cold_stats.preprocess_persisted << ",\n"
-     << "    \"warm_disk_hits\": " << warm_stats.preprocess_disk_hits << ",\n"
+     << "    \"warm_preprocess_disk_hits\": " << warm_stats.preprocess_disk_hits
+     << ",\n"
+     << "    \"warm_forward_disk_hits\": " << warm_stats.forward_disk_hits
+     << ",\n"
      << "    \"warm_preprocess_computed\": " << warm_stats.preprocess_computed
+     << ",\n"
+     << "    \"warm_forward_computed\": " << warm_stats.forward_computed
      << ",\n"
      << "    \"warm_skips_all_preprocessing\": "
      << (warm_stats.preprocess_computed == 0 ? "true" : "false") << "\n  }";

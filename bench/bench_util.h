@@ -362,8 +362,7 @@ inline void print_stage_cache_stats(const BenchCli& cli,
   std::printf(
       "[%s] stage cache: %zu/%zu preprocess evals reused, %zu/%zu forwards "
       "reused; disk: %zu pre hits / %zu computed (%zu persisted), %zu fwd "
-      "hits / %zu computed; %zu batched forward calls; metric memo %zu "
-      "hits\n",
+      "hits / %zu computed; %zu forward calls; metric memo %zu hits\n",
       cli.bench.c_str(), s.preprocess_hits, s.evaluations, s.forward_hits,
       s.evaluations, s.preprocess_disk_hits, s.preprocess_computed,
       s.preprocess_persisted, s.forward_disk_hits, s.forward_computed,

@@ -54,11 +54,6 @@ class TtsTask : public core::StagedEvalTask {
   double run_postprocess(const SysNoiseConfig& cfg,
                          const core::StageProduct& fwd) const override;
 
-  // Model predictions depend only on the inference knobs, not on the
-  // feature front-end, so every preprocess variant of one inference config
-  // shares this key (and, internally, one memoized prediction set).
-  std::string forward_batch_key(const SysNoiseConfig& cfg) const override;
-
  private:
   // Deployment predictions for one inference-knob suffix, memoized: the
   // forward stage is keyed preprocess_key + suffix per the staged contract,

@@ -10,7 +10,6 @@
 #include "core/sweep_detail.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/backend.h"
 
 namespace sysnoise::core {
 
@@ -70,41 +69,10 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
                      return a.pre_key < b.pre_key;
                    });
 
-  // Batch sets: forward-key groups whose configs advertise the same
-  // forward_batch_key (same weights + inference knobs, different
-  // pre-processing) are computed by ONE stacked forward invocation, capped
-  // at max_forward_batch groups per call so the stacked tensor's memory
-  // stays bounded. Groups that opt out (empty key) stay singleton sets; so
-  // does everything when batching is disabled.
-  std::vector<std::vector<std::size_t>> sets;
-  sets.reserve(groups.size());
-  {
-    const std::size_t cap =
-        static_cast<std::size_t>(std::max(1, opts.max_forward_batch));
-    std::map<std::string, std::size_t> open_set;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      const std::string batch_key =
-          opts.batch_forwards
-              ? task.forward_batch_key(pending[groups[g].members.front()]->cfg)
-              : std::string();
-      if (batch_key.empty()) {
-        sets.push_back({g});
-        continue;
-      }
-      const auto it = open_set.find(batch_key);
-      if (it != open_set.end() && sets[it->second].size() < cap) {
-        sets[it->second].push_back(g);
-      } else {
-        open_set[batch_key] = sets.size();
-        sets.push_back({g});
-      }
-    }
-  }
-
   StageCache pre_cache;
   std::atomic<std::size_t> disk_hits{0}, computed{0}, persisted{0};
   std::atomic<std::size_t> fwd_disk_hits{0}, fwd_computed{0}, fwd_persisted{0};
-  std::atomic<std::size_t> batch_calls{0}, batch_cfgs{0}, batch_max{0};
+  std::atomic<std::size_t> stage1_evals{0};  // members of groups running stage 1
   std::vector<StageProduct> pre_of(groups.size());
   std::vector<StageProduct> fwd_of(groups.size());
   std::vector<double> values(pending.size(), 0.0);
@@ -125,6 +93,7 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
       }
     }
     if (fwd_of[g] != nullptr) return;
+    stage1_evals.fetch_add(group.members.size());
     pre_of[g] = pre_cache.get_or_compute(group.pre_key, [&] {
       if (disk != nullptr) {
         std::string bytes;
@@ -148,78 +117,38 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
     });
   });
 
-  // Phase 2, parallel per batch set: one forward invocation covers every
-  // group of the set still lacking a product, then post-processing fans the
-  // (split) outputs back out to the planned configs.
-  detail::parallel_for_n(opts.threads, sets.size(), [&](std::size_t s) {
-    std::vector<std::size_t> need;
-    for (const std::size_t g : sets[s])
-      if (fwd_of[g] == nullptr) need.push_back(g);
-    if (!need.empty()) {
+  // Phase 2, parallel per group: one forward invocation for a group still
+  // lacking a product, then post-processing fans its output out to the
+  // group's planned configs.
+  detail::parallel_for_n(opts.threads, groups.size(), [&](std::size_t g) {
+    const ForwardGroup& group = groups[g];
+    if (fwd_of[g] == nullptr) {
       obs::TraceSpan span("staged.forward");
-      if (span.active()) {
-        span.attr("fwd_key", groups[need.front()].fwd_key);
-        span.attr("batched_groups", need.size());
-      }
-      if (need.size() == 1) {
-        const std::size_t g = need.front();
-        fwd_of[g] =
-            task.run_forward(pending[groups[g].members.front()]->cfg, pre_of[g]);
-      } else {
-        std::vector<const SysNoiseConfig*> cfgs;
-        std::vector<StageProduct> pres;
-        for (const std::size_t g : need) {
-          cfgs.push_back(&pending[groups[g].members.front()]->cfg);
-          pres.push_back(pre_of[g]);
-        }
-        // A stacked multi-config forward is the big-M invocation worth
-        // fanning out: grant the kernels intra-forward parallelism for its
-        // duration (bit-identical at any worker count — disjoint row
-        // ranges, unchanged per-element accumulation order).
-        const GemmParallelScope gemm_fanout(/*workers=*/0);
-        const std::vector<StageProduct> outs =
-            task.run_forward_batched(cfgs, pres);
-        if (outs.size() != need.size())
-          throw std::runtime_error(
-              "run_forward_batched returned " + std::to_string(outs.size()) +
-              " products for " + std::to_string(need.size()) + " configs");
-        std::size_t covered = 0;
-        for (std::size_t i = 0; i < need.size(); ++i) {
-          fwd_of[need[i]] = outs[i];
-          covered += groups[need[i]].members.size();
-        }
-        // Multi-group invocations only: a singleton forward covering a
-        // multi-member group is stage sharing, not cross-config batching,
-        // and must not inflate the batching evidence.
-        batch_cfgs.fetch_add(covered);
-        for (std::size_t prev = batch_max.load();
-             covered > prev && !batch_max.compare_exchange_weak(prev, covered);) {
-        }
-      }
-      fwd_computed.fetch_add(need.size());
-      batch_calls.fetch_add(1);
+      if (span.active()) span.attr("fwd_key", group.fwd_key);
+      fwd_of[g] =
+          task.run_forward(pending[group.members.front()]->cfg, pre_of[g]);
+      fwd_computed.fetch_add(1);
       if (disk != nullptr) {
-        for (const std::size_t g : need) {
-          std::string bytes;
-          if (task.encode_forward(fwd_of[g], &bytes)) {
-            disk->store(task.forward_scope(), groups[g].fwd_key, bytes);
-            fwd_persisted.fetch_add(1);
-          }
+        std::string bytes;
+        if (task.encode_forward(fwd_of[g], &bytes)) {
+          disk->store(task.forward_scope(), group.fwd_key, bytes);
+          fwd_persisted.fetch_add(1);
         }
       }
     }
     obs::TraceSpan post_span("staged.postprocess");
-    for (const std::size_t g : sets[s])
-      for (const std::size_t i : groups[g].members)
-        values[i] = task.run_postprocess(pending[i]->cfg, fwd_of[g]);
+    for (const std::size_t i : group.members)
+      values[i] = task.run_postprocess(pending[i]->cfg, fwd_of[g]);
   });
 
   if (stats != nullptr) {
     StageStats s;
     // Per planned evaluation: the first arrival at a stage key is the miss
-    // that materializes it; every other member reuses the product.
+    // that materializes it; every other member reuses the product. Stage 1
+    // counts only groups that ran it: a group served by a disk forward
+    // product neither hits nor misses a preprocess key.
     s.preprocess_misses = pre_cache.misses();
-    s.preprocess_hits = pending.size() - pre_cache.misses();
+    s.preprocess_hits = stage1_evals.load() - pre_cache.misses();
     s.forward_misses = groups.size();
     s.forward_hits = pending.size() - groups.size();
     s.evaluations = pending.size();
@@ -229,9 +158,7 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
     s.forward_disk_hits = fwd_disk_hits.load();
     s.forward_computed = fwd_computed.load();
     s.forward_persisted = fwd_persisted.load();
-    s.batched_forward_calls = batch_calls.load();
-    s.batched_forward_configs = batch_cfgs.load();
-    s.max_configs_per_batch = batch_max.load();
+    s.batched_forward_calls = fwd_computed.load();
     *stats += s;
   }
   if (obs::trace_enabled()) {
@@ -241,7 +168,7 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
     obs::MetricsRegistry& m = obs::metrics();
     m.counter_add("staged.evaluations", pending.size());
     m.counter_add("staged.preprocess_hits",
-                  pending.size() - pre_cache.misses());
+                  stage1_evals.load() - pre_cache.misses());
     m.counter_add("staged.preprocess_misses", pre_cache.misses());
     m.counter_add("staged.forward_hits", pending.size() - groups.size());
     m.counter_add("staged.forward_misses", groups.size());
@@ -249,11 +176,6 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
     m.counter_add("staged.preprocess_computed", computed.load());
     m.counter_add("staged.forward_disk_hits", fwd_disk_hits.load());
     m.counter_add("staged.forward_computed", fwd_computed.load());
-    m.counter_add("staged.batched_forward_calls", batch_calls.load());
-    m.counter_add("staged.batched_forward_configs", batch_cfgs.load());
-    if (batch_calls.load() > 0)
-      m.gauge_add("staged.max_configs_per_batch",
-                  static_cast<double>(batch_max.load()));
   }
   return values;
 }

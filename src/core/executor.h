@@ -9,15 +9,14 @@
 //
 //  * ThreadPoolExecutor — the monolithic path: each planned config runs the
 //    task's full evaluate() chain, fanned out over a thread pool.
-//  * StagedExecutor — stage-shared evaluation for StagedEvalTasks (configs
-//    grouped by forward key; pre-processing computed once per preprocess
-//    key), with cross-config batched forwards: forward-key groups whose
-//    configs advertise the same forward_batch_key (same weights + inference
-//    knobs) stack their stage-1 batches through ONE network invocation
-//    (SweepOptions::batch_forwards / max_forward_batch). Optionally backed
-//    by a disk StageCache so products persist across processes and bench
-//    binaries. Falls back to the monolithic path for tasks that are not
-//    staged.
+//  * StagedExecutor — stage-shared evaluation for StagedEvalTasks: configs
+//    grouped by forward key, pre-processing computed once per preprocess
+//    key and exactly one run_forward per forward group. Configs are never
+//    stacked through one forward here: that measured slower on a real
+//    table bench (README). Serving is the one stacked-batch forward path
+//    (serve/serving_model.h). Optionally backed by a disk StageCache so
+//    products persist across processes and bench binaries. Falls back to
+//    the monolithic path for tasks that are not staged.
 //  * ShardExecutor — deterministically partitions the plan into i/N slices
 //    (plan-order round-robin), executes only its slice through an inner
 //    executor, and statically merges partial MetricMaps back into the full

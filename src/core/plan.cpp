@@ -156,25 +156,10 @@ SweepPlan SweepPlan::slice(const std::vector<std::size_t>& indices) const {
   return out;
 }
 
-std::string planned_forward_suffix(const PlannedConfig& p) {
-  if (p.forward_key.empty() || p.preprocess_key.empty() ||
-      p.forward_key.size() <= p.preprocess_key.size() ||
-      p.forward_key.compare(0, p.preprocess_key.size(), p.preprocess_key) != 0)
-    return std::string();
-  return p.forward_key.substr(p.preprocess_key.size());
-}
-
 std::vector<std::vector<std::size_t>> plan_work_units(const SweepPlan& plan) {
-  return plan_work_units(plan, WorkUnitOptions{});
-}
-
-std::vector<std::vector<std::size_t>> plan_work_units(
-    const SweepPlan& plan, const WorkUnitOptions& opts) {
   struct Unit {
     std::string pre_key;
-    std::string suffix;  // forward-batch compatibility ("" = not mergeable)
     std::vector<std::size_t> members;
-    std::size_t groups = 1;  // forward-key groups merged into this unit
   };
   std::vector<Unit> units;
   std::map<std::string, std::size_t> unit_of;
@@ -187,7 +172,7 @@ std::vector<std::vector<std::size_t>> plan_work_units(
     const auto it = unit_of.find(key);
     if (it == unit_of.end()) {
       unit_of.emplace(key, units.size());
-      units.push_back({p.preprocess_key, planned_forward_suffix(p), {i}});
+      units.push_back({p.preprocess_key, {i}});
     } else {
       units[it->second].members.push_back(i);
     }
@@ -199,27 +184,6 @@ std::vector<std::vector<std::size_t>> plan_work_units(
                    [](const Unit& a, const Unit& b) {
                      return a.pre_key < b.pre_key;
                    });
-  if (opts.merge_batch_compatible) {
-    // Concatenate forward groups sharing a suffix (up to the cap) so one
-    // lease holds a whole batchable set; pre-key order within a merged unit
-    // is preserved from the sort above.
-    const std::size_t cap = std::max<std::size_t>(1, opts.max_groups_per_unit);
-    std::vector<Unit> merged;
-    std::map<std::string, std::size_t> open;  // suffix -> merged index
-    for (Unit& u : units) {
-      const auto it = u.suffix.empty() ? open.end() : open.find(u.suffix);
-      if (it != open.end() && merged[it->second].groups < cap) {
-        Unit& dst = merged[it->second];
-        dst.members.insert(dst.members.end(), u.members.begin(),
-                           u.members.end());
-        ++dst.groups;
-      } else {
-        if (!u.suffix.empty()) open[u.suffix] = merged.size();
-        merged.push_back(std::move(u));
-      }
-    }
-    units = std::move(merged);
-  }
   std::vector<std::vector<std::size_t>> out;
   out.reserve(units.size());
   for (Unit& u : units) out.push_back(std::move(u.members));

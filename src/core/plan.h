@@ -99,15 +99,6 @@ AxisReport assemble_report(const SweepPlan& plan, const MetricMap& results);
 std::vector<StepPoint> assemble_steps(const SweepPlan& plan,
                                       const MetricMap& results);
 
-// The inference-knob suffix of a planned config's forward key (forward_key
-// minus its preprocess_key prefix). Staged tasks build forward_key as
-// preprocess_key + forward_key_suffix(cfg), so two configs of one plan that
-// share this suffix run the same network invocation over different stage-1
-// products — they are forward-batch-compatible, and an executor may stack
-// their batches through one forward call. Empty for non-staged configs (or
-// keys that don't nest), which opts them out of batching.
-std::string planned_forward_suffix(const PlannedConfig& p);
-
 // Stage-key-grouped work units: plan.configs indices partitioned so that
 // configs sharing a forward pass (same forward key — e.g. the detection
 // post-processing options) are never split apart, with units ordered so
@@ -117,19 +108,5 @@ std::string planned_forward_suffix(const PlannedConfig& p);
 // anything coarser would starve dynamic balancing. Plans without stage keys
 // (non-staged tasks) degrade to one unit per distinct metric key.
 std::vector<std::vector<std::size_t>> plan_work_units(const SweepPlan& plan);
-
-struct WorkUnitOptions {
-  // Merge forward-key groups whose configs share a forward suffix
-  // (planned_forward_suffix — i.e. the same inference knobs) into one unit,
-  // bounded by max_groups_per_unit. A merged unit lands on ONE worker, whose
-  // StagedExecutor can then stack the groups' pre-processed batches through
-  // a single forward call — this is how cross-config batching reaches the
-  // distributed runtime. The bound keeps leases small enough for dynamic
-  // balancing (and mirrors SweepOptions::max_forward_batch).
-  bool merge_batch_compatible = false;
-  std::size_t max_groups_per_unit = 8;
-};
-std::vector<std::vector<std::size_t>> plan_work_units(
-    const SweepPlan& plan, const WorkUnitOptions& opts);
 
 }  // namespace sysnoise::core

@@ -1,6 +1,5 @@
 #include "core/staged_eval.h"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -88,8 +87,6 @@ StageStats& StageStats::operator+=(const StageStats& o) {
   forward_computed += o.forward_computed;
   forward_persisted += o.forward_persisted;
   batched_forward_calls += o.batched_forward_calls;
-  batched_forward_configs += o.batched_forward_configs;
-  max_configs_per_batch = std::max(max_configs_per_batch, o.max_configs_per_batch);
   return *this;
 }
 
@@ -107,8 +104,6 @@ util::Json StageStats::to_json() const {
   j.set("forward_computed", forward_computed);
   j.set("forward_persisted", forward_persisted);
   j.set("batched_forward_calls", batched_forward_calls);
-  j.set("batched_forward_configs", batched_forward_configs);
-  j.set("max_configs_per_batch", max_configs_per_batch);
   return j;
 }
 

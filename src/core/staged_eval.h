@@ -61,23 +61,15 @@ class StagedEvalTask : public EvalTask {
   virtual double run_postprocess(const SysNoiseConfig& cfg,
                                  const StageProduct& fwd) const = 0;
 
-  // --- optional cross-config batched forwards ----------------------------
-  // Identity of the network invocation independent of pre-processing: the
-  // weights (fingerprint) plus the inference knobs (forward_key_suffix).
-  // Configs sharing this key run the same network over different stage-1
-  // products, so the executor may stack their batches through ONE forward
-  // call (run_forward_batched). The default empty key opts a task out of
-  // batching; forward_key stays the cache identity of the outputs either
-  // way.
+  // Kept only for perfbench's forwarding decorator, which overrides both:
+  // the executor runs one run_forward per forward group and calls neither.
+  // The key is always empty.
   virtual std::string forward_batch_key(const SysNoiseConfig& cfg) const {
     (void)cfg;
     return std::string();
   }
-  // One batched forward covering every cfg (all sharing forward_batch_key,
-  // one per distinct forward key): returns one stage-2 product per config,
-  // bit-identical to calling run_forward(cfgs[i], pres[i]) per config. The
-  // default runs the serial loop, so opting in via forward_batch_key alone
-  // is already correct — overriding this is what makes it fast.
+  // Kept only for perfbench's forwarding decorator: run_forward per config,
+  // in order.
   virtual std::vector<StageProduct> run_forward_batched(
       const std::vector<const SysNoiseConfig*>& cfgs,
       const std::vector<StageProduct>& pres) const;
@@ -168,17 +160,9 @@ struct StageStats {
   std::size_t forward_disk_hits = 0;
   std::size_t forward_computed = 0;
   std::size_t forward_persisted = 0;
-  // Cross-config batched forward accounting: how many network invocations
-  // the executor actually issued (a batched invocation computes several
-  // forward-key groups' products at once, so calls <= forward_computed and,
-  // with batch-compatible configs present, strictly fewer). The other two
-  // count only MULTI-group invocations — genuine cross-config stacks, not
-  // stage sharing within one forward group: planned evaluations covered by
-  // such calls, and the largest such stack. configs-per-batch =
-  // evaluations / batched_forward_calls.
+  // Network invocations, equal to forward_computed. Kept only for
+  // perfbench's decorator run, which reports it.
   std::size_t batched_forward_calls = 0;
-  std::size_t batched_forward_configs = 0;
-  std::size_t max_configs_per_batch = 0;
 
   StageStats& operator+=(const StageStats& o);
 

@@ -60,15 +60,6 @@ struct SweepOptions {
   bool memoize = true;          // dedup identical configs within a call
   SweepCache* cache = nullptr;  // optional cross-call memo
   const AxisRegistry* registry = nullptr;  // default: AxisRegistry::global()
-  // Cross-config batched forwards (StagedExecutor): configs whose networks
-  // are forward-batch-compatible (same weights fingerprint + inference
-  // knobs, different pre-processing) have their stage-1 batches stacked
-  // through one forward call. Bit-identical to the unbatched staged sweep;
-  // only invocation count and wall time change.
-  bool batch_forwards = true;
-  // Upper bound on forward-key groups stacked into one batched call (bounds
-  // the stacked tensor's memory to max_forward_batch x the per-config batch).
-  int max_forward_batch = 8;
 };
 
 struct OptionDelta {

@@ -60,24 +60,14 @@ class SyntheticTask : public EvalTask {
 // three stage hashes, so staged_sweep() (stage products shared) and plain
 // sweep() (full chain per config) are bit-identical by construction — what
 // changes is how often each stage runs, which the counters expose.
-//
-// `fwd_overhead_rounds` models the fixed per-invocation cost of a network
-// forward pass (tape setup, per-layer weight-precision transforms) that
-// cross-config batching amortizes: every forward INVOCATION burns it once,
-// regardless of how many configs ride along. A task with overhead > 0
-// advertises forward-batch compatibility (forward_batch_key), so the staged
-// executor stacks compatible configs through run_forward_batched — products
-// stay bit-identical, only invocation counts and wall time change.
 class SyntheticStagedTask : public StagedEvalTask {
  public:
   SyntheticStagedTask(TaskKind kind, bool has_maxpool, int pre_rounds = 1,
-                      int fwd_rounds = 1, int post_rounds = 1,
-                      int fwd_overhead_rounds = 0)
+                      int fwd_rounds = 1, int post_rounds = 1)
       : traits_{kind, has_maxpool},
         pre_rounds_(pre_rounds),
         fwd_rounds_(fwd_rounds),
-        post_rounds_(post_rounds),
-        fwd_overhead_rounds_(fwd_overhead_rounds) {}
+        post_rounds_(post_rounds) {}
 
   const std::string& name() const override {
     static const std::string n = "synthetic-staged";
@@ -86,8 +76,7 @@ class SyntheticStagedTask : public StagedEvalTask {
   TaskTraits traits() const override { return traits_; }
   std::string cache_identity() const override {
     return name() + "#" + std::to_string(pre_rounds_) + "/" +
-           std::to_string(fwd_rounds_) + "/" + std::to_string(post_rounds_) +
-           "/" + std::to_string(fwd_overhead_rounds_);
+           std::to_string(fwd_rounds_) + "/" + std::to_string(post_rounds_);
   }
 
   // Keys come from the same encoders the real adapters use (over a default
@@ -125,30 +114,11 @@ class SyntheticStagedTask : public StagedEvalTask {
   StageProduct run_forward(const SysNoiseConfig& cfg,
                            const StageProduct& pre) const override {
     fwd_runs_.fetch_add(1);
-    fwd_invocations_.fetch_add(1);
-    burn_invocation_overhead();
-    return forward_product(cfg, pre);
+    const auto seed = *static_cast<const std::uint64_t*>(pre.get());
+    return std::make_shared<const std::uint64_t>(
+        work(seed, forward_key(cfg), fwd_rounds_));
   }
 
-  // Batching: one invocation's overhead covers every config in the stack;
-  // the per-config products are computed exactly as run_forward would.
-  std::string forward_batch_key(const SysNoiseConfig& cfg) const override {
-    if (fwd_overhead_rounds_ <= 0) return std::string();
-    return cache_identity() + forward_key_suffix(cfg);
-  }
-  std::vector<StageProduct> run_forward_batched(
-      const std::vector<const SysNoiseConfig*>& cfgs,
-      const std::vector<StageProduct>& pres) const override {
-    fwd_runs_.fetch_add(static_cast<int>(cfgs.size()));
-    fwd_invocations_.fetch_add(1);
-    fwd_batched_calls_.fetch_add(1);
-    burn_invocation_overhead();
-    std::vector<StageProduct> out;
-    out.reserve(cfgs.size());
-    for (std::size_t i = 0; i < cfgs.size(); ++i)
-      out.push_back(forward_product(*cfgs[i], pres[i]));
-    return out;
-  }
   // Forward products round-trip the same way (the default forward_scope
   // already folds in cache_identity, which pins all three stage costs), so
   // warm disk runs skip the synthetic forward stage too.
@@ -175,16 +145,10 @@ class SyntheticStagedTask : public StagedEvalTask {
   int pre_runs() const { return pre_runs_.load(); }
   int fwd_runs() const { return fwd_runs_.load(); }
   int post_runs() const { return post_runs_.load(); }
-  // Network invocations (one per run_forward call, one per batched call
-  // regardless of stack size) and how many of them were batched.
-  int fwd_invocations() const { return fwd_invocations_.load(); }
-  int fwd_batched_calls() const { return fwd_batched_calls_.load(); }
   void reset() const {
     pre_runs_.store(0);
     fwd_runs_.store(0);
     post_runs_.store(0);
-    fwd_invocations_.store(0);
-    fwd_batched_calls_.store(0);
   }
 
  private:
@@ -197,31 +161,13 @@ class SyntheticStagedTask : public StagedEvalTask {
     return h;
   }
 
-  StageProduct forward_product(const SysNoiseConfig& cfg,
-                               const StageProduct& pre) const {
-    const auto seed = *static_cast<const std::uint64_t*>(pre.get());
-    return std::make_shared<const std::uint64_t>(
-        work(seed, forward_key(cfg), fwd_rounds_));
-  }
-
-  void burn_invocation_overhead() const {
-    if (fwd_overhead_rounds_ <= 0) return;
-    static const std::string kOverhead = "per-invocation-overhead";
-    volatile std::uint64_t sink =
-        work(0x9e3779b97f4a7c15ull, kOverhead, fwd_overhead_rounds_);
-    (void)sink;
-  }
-
   TaskTraits traits_;
   int pre_rounds_;
   int fwd_rounds_;
   int post_rounds_;
-  int fwd_overhead_rounds_;
   mutable std::atomic<int> pre_runs_{0};
   mutable std::atomic<int> fwd_runs_{0};
   mutable std::atomic<int> post_runs_{0};
-  mutable std::atomic<int> fwd_invocations_{0};
-  mutable std::atomic<int> fwd_batched_calls_{0};
 };
 
 }  // namespace sysnoise::core

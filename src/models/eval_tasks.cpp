@@ -240,45 +240,18 @@ std::string weights_fingerprint(Model& model, const nn::ActRanges& ranges) {
   return os.str();
 }
 
-// The lazily-computed (call_once) fingerprint shared by forward_scope and
-// forward_batch_key: both must pin the exact weights the outputs came from.
-template <typename Trained>
-const std::string& cached_weights_fp(Trained& trained, std::once_flag& once,
-                                     std::string* fp) {
-  std::call_once(once, [&] {
-    *fp = weights_fingerprint(*trained.model, trained.ranges);
-  });
-  return *fp;
-}
-
-// One scope builder for all three adapters, so the format (and the cached
-// call_once fingerprint discipline) cannot drift between task kinds.
+// One scope builder for all three adapters, so the format (and the lazily
+// computed call_once weights fingerprint, which pins the exact weights the
+// outputs came from) cannot drift between task kinds.
 template <typename Trained>
 std::string cached_forward_scope(const core::StagedEvalTask& task,
                                  Trained& trained, std::once_flag& once,
                                  std::string* fp) {
+  std::call_once(once, [&] {
+    *fp = weights_fingerprint(*trained.model, trained.ranges);
+  });
   return task.preprocess_scope() + "|fwd=" + task.cache_identity() + "#w" +
-         cached_weights_fp(trained, once, fp);
-}
-
-// Forward-batch compatibility: the network invocation's identity is the
-// weights (fingerprint — zoo names survive retrains) plus the inference
-// knobs; pre-processing deliberately stays out, that is what gets stacked.
-template <typename Trained>
-std::string cached_batch_key(const core::StagedEvalTask& task, Trained& trained,
-                             std::once_flag& once, std::string* fp,
-                             const SysNoiseConfig& cfg) {
-  return task.cache_identity() + "#w" + cached_weights_fp(trained, once, fp) +
-         core::forward_key_suffix(cfg);
-}
-
-std::vector<const PreprocessedBatches*> batches_of(
-    const std::vector<core::StageProduct>& pres) {
-  std::vector<const PreprocessedBatches*> out;
-  out.reserve(pres.size());
-  for (const core::StageProduct& p : pres)
-    out.push_back(static_cast<const PreprocessedBatches*>(p.get()));
-  return out;
+         *fp;
 }
 
 }  // namespace
@@ -314,22 +287,6 @@ core::StageProduct ClassifierTask::run_forward(
 double ClassifierTask::run_postprocess(const SysNoiseConfig&,
                                        const core::StageProduct& fwd) const {
   return *static_cast<const double*>(fwd.get());
-}
-
-std::string ClassifierTask::forward_batch_key(const SysNoiseConfig& cfg) const {
-  return cached_batch_key(*this, tc_, weights_fp_once_, &weights_fp_, cfg);
-}
-
-std::vector<core::StageProduct> ClassifierTask::run_forward_batched(
-    const std::vector<const SysNoiseConfig*>& cfgs,
-    const std::vector<core::StageProduct>& pres) const {
-  const std::vector<double> accs = eval_classifier_batches_multi(
-      *tc_.model, batches_of(pres), benchmark_cls_dataset().eval,
-      *cfgs.front(), &tc_.ranges);
-  std::vector<core::StageProduct> out;
-  out.reserve(accs.size());
-  for (const double acc : accs) out.push_back(std::make_shared<const double>(acc));
-  return out;
 }
 
 std::string ClassifierTask::preprocess_scope() const {
@@ -395,22 +352,6 @@ double DetectorTask::run_postprocess(const SysNoiseConfig& cfg,
   return detector_map_from_raw(*td_.model, raw, benchmark_det_dataset(), cfg);
 }
 
-std::string DetectorTask::forward_batch_key(const SysNoiseConfig& cfg) const {
-  return cached_batch_key(*this, td_, weights_fp_once_, &weights_fp_, cfg);
-}
-
-std::vector<core::StageProduct> DetectorTask::run_forward_batched(
-    const std::vector<const SysNoiseConfig*>& cfgs,
-    const std::vector<core::StageProduct>& pres) const {
-  std::vector<RawDetections> raws = detector_forward_batches_multi(
-      *td_.model, batches_of(pres), *cfgs.front(), &td_.ranges);
-  std::vector<core::StageProduct> out;
-  out.reserve(raws.size());
-  for (RawDetections& raw : raws)
-    out.push_back(std::make_shared<const RawDetections>(std::move(raw)));
-  return out;
-}
-
 std::string DetectorTask::preprocess_scope() const {
   return batches_scope("det", benchmark_det_dataset().eval.size(),
                        det_pipeline_spec());
@@ -474,23 +415,6 @@ core::StageProduct SegmenterTask::run_forward(
 double SegmenterTask::run_postprocess(const SysNoiseConfig&,
                                       const core::StageProduct& fwd) const {
   return *static_cast<const double*>(fwd.get());
-}
-
-std::string SegmenterTask::forward_batch_key(const SysNoiseConfig& cfg) const {
-  return cached_batch_key(*this, ts_, weights_fp_once_, &weights_fp_, cfg);
-}
-
-std::vector<core::StageProduct> SegmenterTask::run_forward_batched(
-    const std::vector<const SysNoiseConfig*>& cfgs,
-    const std::vector<core::StageProduct>& pres) const {
-  const std::vector<double> mious = eval_segmenter_batches_multi(
-      *ts_.model, batches_of(pres), benchmark_seg_dataset(), *cfgs.front(),
-      &ts_.ranges);
-  std::vector<core::StageProduct> out;
-  out.reserve(mious.size());
-  for (const double miou : mious)
-    out.push_back(std::make_shared<const double>(miou));
-  return out;
 }
 
 std::string SegmenterTask::preprocess_scope() const {

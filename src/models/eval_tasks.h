@@ -53,14 +53,6 @@ class ClassifierTask : public core::StagedEvalTask {
   double run_postprocess(const SysNoiseConfig& cfg,
                          const core::StageProduct& fwd) const override;
 
-  // Cross-config batching: configs sharing the weights fingerprint + the
-  // inference knobs stack their stage-1 batches through one forward pass
-  // (eval_classifier_batches_multi), bit-identical per config.
-  std::string forward_batch_key(const SysNoiseConfig& cfg) const override;
-  std::vector<core::StageProduct> run_forward_batched(
-      const std::vector<const SysNoiseConfig*>& cfgs,
-      const std::vector<core::StageProduct>& pres) const override;
-
   // Disk persistence: batches depend on the dataset + spec, not the model,
   // so every classifier shares one scope (and one set of disk entries).
   std::string preprocess_scope() const override;
@@ -100,13 +92,6 @@ class DetectorTask : public core::StagedEvalTask {
   double run_postprocess(const SysNoiseConfig& cfg,
                          const core::StageProduct& fwd) const override;
 
-  // Cross-config batching (detector_forward_batches_multi): the stacked
-  // forward's per-level outputs split back into per-config RawDetections.
-  std::string forward_batch_key(const SysNoiseConfig& cfg) const override;
-  std::vector<core::StageProduct> run_forward_batched(
-      const std::vector<const SysNoiseConfig*>& cfgs,
-      const std::vector<core::StageProduct>& pres) const override;
-
   std::string preprocess_scope() const override;
   bool encode_preprocess(const core::StageProduct& product,
                          std::string* bytes) const override;
@@ -137,12 +122,6 @@ class SegmenterTask : public core::StagedEvalTask {
                                  const core::StageProduct& pre) const override;
   double run_postprocess(const SysNoiseConfig& cfg,
                          const core::StageProduct& fwd) const override;
-
-  // Cross-config batching (eval_segmenter_batches_multi).
-  std::string forward_batch_key(const SysNoiseConfig& cfg) const override;
-  std::vector<core::StageProduct> run_forward_batched(
-      const std::vector<const SysNoiseConfig*>& cfgs,
-      const std::vector<core::StageProduct>& pres) const override;
 
   std::string preprocess_scope() const override;
   bool encode_preprocess(const core::StageProduct& product,

@@ -1,7 +1,6 @@
 #include "models/train.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "nn/optim.h"
 #include "seg/miou.h"
@@ -11,38 +10,6 @@ namespace sysnoise::models {
 using namespace sysnoise::nn;
 
 Tensor stack_batch(const std::vector<Tensor>& items) { return stack_front(items); }
-
-namespace {
-
-// The multi-config loops stack aligned batch indices across configs, so
-// every config's stage-1 product must carry the same batch layout (they all
-// pre-process the same dataset with the same batch size — only the knobs
-// differ).
-void check_same_layout(const std::vector<const PreprocessedBatches*>& per_cfg) {
-  const PreprocessedBatches* ref = per_cfg.front();
-  for (const PreprocessedBatches* pc : per_cfg)
-    if (pc == nullptr || pc->num_samples != ref->num_samples ||
-        pc->batch_size != ref->batch_size ||
-        pc->inputs.size() != ref->inputs.size())
-      throw std::invalid_argument(
-          "batched forward: configs' stage-1 batch layouts differ");
-}
-
-// Stack batch index `bi` of every config into one [sum(b_i), ...] tensor;
-// `fronts` receives each config's contribution for the split on the way out.
-Tensor stack_config_batch(const std::vector<const PreprocessedBatches*>& per_cfg,
-                          std::size_t bi, std::vector<int>* fronts) {
-  std::vector<const Tensor*> parts;
-  parts.reserve(per_cfg.size());
-  fronts->clear();
-  for (const PreprocessedBatches* pc : per_cfg) {
-    parts.push_back(&pc->inputs[bi]);
-    fronts->push_back(pc->inputs[bi].dim(0));
-  }
-  return stack_parts(parts);
-}
-
-}  // namespace
 
 ClsPreprocessor default_cls_preprocessor(const PipelineSpec& spec) {
   const SysNoiseConfig train_cfg = SysNoiseConfig::training_default();
@@ -131,42 +98,6 @@ double eval_classifier_batches(Classifier& model,
     b += bs;
   }
   return 100.0 * correct / std::max(1, n);
-}
-
-std::vector<double> eval_classifier_batches_multi(
-    Classifier& model, const std::vector<const PreprocessedBatches*>& per_cfg,
-    const std::vector<data::ClsSample>& eval, const SysNoiseConfig& cfg,
-    ActRanges* ranges) {
-  if (per_cfg.empty()) return {};
-  check_same_layout(per_cfg);
-  const std::size_t k = per_cfg.size();
-  std::vector<int> correct(k, 0);
-  int b = 0;
-  std::vector<int> fronts;
-  for (std::size_t bi = 0; bi < per_cfg.front()->inputs.size(); ++bi) {
-    const Tensor input = stack_config_batch(per_cfg, bi, &fronts);
-    Tape t;
-    t.ctx = cfg.inference_ctx(ranges);
-    Node* logits = model.forward(t, t.input(input), BnMode::kEval);
-    int row = 0;
-    for (std::size_t ci = 0; ci < k; ++ci) {
-      for (int i = 0; i < fronts[ci]; ++i) {
-        int best = 0;
-        for (int c = 1; c < logits->value.dim(1); ++c)
-          if (logits->value.at2(row + i, c) > logits->value.at2(row + i, best))
-            best = c;
-        if (best == eval[static_cast<std::size_t>(b + i)].label) ++correct[ci];
-      }
-      row += fronts[ci];
-    }
-    b += fronts.front();
-  }
-  std::vector<double> accs;
-  accs.reserve(k);
-  for (std::size_t ci = 0; ci < k; ++ci)
-    accs.push_back(100.0 * correct[ci] /
-                   std::max(1, per_cfg[ci]->num_samples));
-  return accs;
 }
 
 double eval_classifier(Classifier& model, const std::vector<data::ClsSample>& eval,
@@ -262,37 +193,6 @@ RawDetections detector_forward_batches(Detector& model,
     raw.batches.push_back(detach_detector_output(out));
   }
   return raw;
-}
-
-std::vector<RawDetections> detector_forward_batches_multi(
-    Detector& model, const std::vector<const PreprocessedBatches*>& per_cfg,
-    const SysNoiseConfig& cfg, ActRanges* ranges) {
-  if (per_cfg.empty()) return {};
-  check_same_layout(per_cfg);
-  const std::size_t k = per_cfg.size();
-  std::vector<RawDetections> out(k);
-  for (RawDetections& r : out) r.batches.reserve(per_cfg.front()->inputs.size());
-  std::vector<int> fronts;
-  for (std::size_t bi = 0; bi < per_cfg.front()->inputs.size(); ++bi) {
-    const Tensor input = stack_config_batch(per_cfg, bi, &fronts);
-    Tape t;
-    t.ctx = cfg.inference_ctx(ranges);
-    DetectorOutput o = model.forward(t, t.input(input), BnMode::kEval);
-    const RawDetectorOutput raw = detach_detector_output(o);
-    std::vector<RawDetectorOutput> subs(k);
-    for (RawDetectorOutput& sub : subs) sub.shapes = raw.shapes;
-    for (std::size_t l = 0; l < raw.cls.size(); ++l) {
-      std::vector<Tensor> cls = unstack_parts(raw.cls[l], fronts);
-      std::vector<Tensor> reg = unstack_parts(raw.reg[l], fronts);
-      for (std::size_t ci = 0; ci < k; ++ci) {
-        subs[ci].cls.push_back(std::move(cls[ci]));
-        subs[ci].reg.push_back(std::move(reg[ci]));
-      }
-    }
-    for (std::size_t ci = 0; ci < k; ++ci)
-      out[ci].batches.push_back(std::move(subs[ci]));
-  }
-  return out;
 }
 
 double detector_map_from_raw(const Detector& model, const RawDetections& raw,
@@ -421,49 +321,6 @@ double eval_segmenter_batches(Segmenter& model,
     }
   }
   return 100.0 * seg::mean_iou(all_pred, all_gt, ds.num_classes);
-}
-
-std::vector<double> eval_segmenter_batches_multi(
-    Segmenter& model, const std::vector<const PreprocessedBatches*>& per_cfg,
-    const data::SegDataset& ds, const SysNoiseConfig& cfg, ActRanges* ranges) {
-  if (per_cfg.empty()) return {};
-  check_same_layout(per_cfg);
-  const std::size_t k = per_cfg.size();
-  std::vector<std::vector<int>> all_pred(k);
-  std::vector<int> all_gt;  // dataset order; identical for every config
-  std::size_t sample = 0;
-  std::vector<int> fronts;
-  for (std::size_t bi = 0; bi < per_cfg.front()->inputs.size(); ++bi) {
-    const Tensor input = stack_config_batch(per_cfg, bi, &fronts);
-    Tape t;
-    t.ctx = cfg.inference_ctx(ranges);
-    Node* logits = model.forward(t, t.input(input), BnMode::kEval);
-    const int c = logits->value.dim(1), h = logits->value.dim(2),
-              w = logits->value.dim(3);
-    int row = 0;
-    for (std::size_t ci = 0; ci < k; ++ci) {
-      for (int i = 0; i < fronts[ci]; ++i)
-        for (int y = 0; y < h; ++y)
-          for (int x = 0; x < w; ++x) {
-            int best = 0;
-            for (int cc = 1; cc < c; ++cc)
-              if (logits->value.at4(row + i, cc, y, x) >
-                  logits->value.at4(row + i, best, y, x))
-                best = cc;
-            all_pred[ci].push_back(best);
-          }
-      row += fronts[ci];
-    }
-    for (int i = 0; i < fronts.front(); ++i) {
-      const auto& mask = ds.eval[sample++].mask;
-      all_gt.insert(all_gt.end(), mask.begin(), mask.end());
-    }
-  }
-  std::vector<double> out;
-  out.reserve(k);
-  for (std::size_t ci = 0; ci < k; ++ci)
-    out.push_back(100.0 * seg::mean_iou(all_pred[ci], all_gt, ds.num_classes));
-  return out;
 }
 
 double eval_segmenter(Segmenter& model, const data::SegDataset& ds,

@@ -50,18 +50,6 @@ double eval_classifier_batches(Classifier& model,
                                const std::vector<data::ClsSample>& eval,
                                const SysNoiseConfig& cfg, nn::ActRanges* ranges);
 
-// Cross-config batched form: `per_cfg` holds one stage-1 product per config
-// (same dataset, same batch layout, different pre-processing knobs; `cfg`
-// supplies the shared inference knobs). Aligned batches are stacked along
-// the leading axis and pushed through ONE forward pass per batch index,
-// then split back per config — every op in the network is per-sample, so
-// each config's metric is bit-identical to eval_classifier_batches run
-// alone. Throws std::invalid_argument on batch-layout mismatch.
-std::vector<double> eval_classifier_batches_multi(
-    Classifier& model, const std::vector<const PreprocessedBatches*>& per_cfg,
-    const std::vector<data::ClsSample>& eval, const SysNoiseConfig& cfg,
-    nn::ActRanges* ranges);
-
 // Stage-1 materialization for each task family, with the same batch sizes
 // the monolithic eval loops use (cls 16, det 8, seg 4).
 PreprocessedBatches preprocess_cls_batches(const std::vector<data::ClsSample>& eval,
@@ -105,14 +93,6 @@ RawDetections detector_forward_batches(Detector& model,
                                        const SysNoiseConfig& cfg,
                                        nn::ActRanges* ranges);
 
-// Cross-config batched form: one forward per aligned batch index over the
-// stacked configs, the per-level output tensors split back per config —
-// bit-identical RawDetections to running detector_forward_batches per
-// config (see eval_classifier_batches_multi).
-std::vector<RawDetections> detector_forward_batches_multi(
-    Detector& model, const std::vector<const PreprocessedBatches*>& per_cfg,
-    const SysNoiseConfig& cfg, nn::ActRanges* ranges);
-
 double detector_map_from_raw(const Detector& model, const RawDetections& raw,
                              const data::DetDataset& ds,
                              const SysNoiseConfig& cfg);
@@ -136,12 +116,6 @@ double eval_segmenter_batches(Segmenter& model,
                               const PreprocessedBatches& batches,
                               const data::SegDataset& ds,
                               const SysNoiseConfig& cfg, nn::ActRanges* ranges);
-
-// Cross-config batched form (see eval_classifier_batches_multi).
-std::vector<double> eval_segmenter_batches_multi(
-    Segmenter& model, const std::vector<const PreprocessedBatches*>& per_cfg,
-    const data::SegDataset& ds, const SysNoiseConfig& cfg,
-    nn::ActRanges* ranges);
 
 void calibrate_segmenter(Segmenter& model, const data::SegDataset& ds,
                          const PipelineSpec& spec, nn::ActRanges& ranges,

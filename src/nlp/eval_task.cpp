@@ -81,8 +81,4 @@ double NlpChoiceTask::run_postprocess(const SysNoiseConfig& cfg,
   return 100.0 * correct / static_cast<double>(scores.size());
 }
 
-std::string NlpChoiceTask::forward_batch_key(const SysNoiseConfig& cfg) const {
-  return name_ + "|batch" + core::forward_key_suffix(cfg);
-}
-
 }  // namespace sysnoise::nlp

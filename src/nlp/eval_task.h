@@ -48,12 +48,6 @@ class NlpChoiceTask : public core::StagedEvalTask {
   double run_postprocess(const SysNoiseConfig& cfg,
                          const core::StageProduct& fwd) const override;
 
-  // Cross-config batching: scoring already runs item-by-item, so the
-  // default serial run_forward_batched is bit-identical — opting in via the
-  // key lets the executor and the dist work-unit merge group
-  // batch-compatible configs onto one lease.
-  std::string forward_batch_key(const SysNoiseConfig& cfg) const override;
-
  private:
   TrainedLm& tlm_;
   TaskKind subtask_;

@@ -96,7 +96,7 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
     const float* w_ptr = wq.data() + static_cast<std::size_t>(g) * ocg * col_rows;
     gemm(ocg, oh * ow, col_rows, w_ptr, col, out_ptr);
   };
-  // With a parallelism grant (batched executor stacking configs), split the
+  // With a parallelism grant (a serving worker's GemmParallelScope), split the
   // (image, group) space across the pool — each worker im2cols into its own
   // scratch and writes a disjoint output slab, so results are bit-identical
   // at any worker count. A single (image, group) instead lets the GEMM split

@@ -4,13 +4,13 @@
 // with one prediction per request. The contract that makes serving
 // measurable against the offline sweep is per-sample batch independence:
 // a sample's prediction must be bit-identical no matter which other
-// requests share its micro-batch — the same property the cross-config
-// batched forward engine pins (tensor: stack_parts; BatchedRealModels
-// tests), extended here from "configs stacked along the batch axis" to
-// "arbitrary request mixes stacked along the batch axis". Under that
-// contract, served accuracy over a trace that covers the evaluation set
-// equals the offline sweep metric bit-exactly, whatever batches the
-// dynamic batcher happened to form.
+// requests share its micro-batch (the per-sample forward contract of
+// nn/ops.h; requests stacked along the batch axis with stack_parts; tested
+// in tests/test_serving.cpp). Serving is the one place the harness runs a
+// network over requests stacked this way. Under that contract, served
+// accuracy over a trace that covers the evaluation set equals the offline
+// sweep metric bit-exactly, whatever batches the dynamic batcher happened
+// to form.
 //
 // Two implementations: ClassifierServingModel binds a trained zoo
 // classifier plus a deployment config (the stage-1 pre-processing for

@@ -103,6 +103,7 @@ struct JobState {
   std::size_t unit_base = 0;  // scheduler index of this job's first unit
   std::vector<bool> unit_done;
   std::vector<std::size_t> unit_configs;  // config count per local unit
+  std::vector<std::set<std::string>> unit_keys;  // planned metric keys
   std::size_t units_done = 0;
   std::size_t configs_total = 0;
   std::size_t configs_done = 0;
@@ -113,6 +114,27 @@ struct JobState {
   std::chrono::steady_clock::time_point registered_at{};
 
   std::size_t unit_count() const { return unit_done.size(); }
+  // "" when `jmetrics` carries exactly the planned metric keys of local
+  // unit `local`, else a diagnostic naming the job and unit. A frame or
+  // journal record for another unit (or from a differently partitioned
+  // plan) must never mark this unit done.
+  std::string check_unit_keys(std::size_t local,
+                              const util::Json& jmetrics) const {
+    const std::set<std::string>& planned = unit_keys[local];
+    std::string mismatch;
+    for (const auto& [key, value] : jmetrics.items())
+      if (planned.count(key) == 0) {
+        mismatch = "unplanned metric \"" + key + "\"";
+        break;
+      }
+    if (mismatch.empty() && jmetrics.size() != planned.size())
+      mismatch = std::to_string(jmetrics.size()) + " metrics for " +
+                 std::to_string(planned.size()) + " planned keys";
+    if (mismatch.empty()) return "";
+    return "result for job " + std::to_string(id) + " unit " +
+           std::to_string(local) + " does not match the unit's planned "
+           "metric keys (" + mismatch + ")";
+  }
   bool terminal() const {
     return canceled || !error.empty() || units_done == unit_count();
   }
@@ -208,10 +230,7 @@ int SweepService::Impl::register_job(std::string name, int priority,
                                      util::Json task_spec, core::SweepPlan plan,
                                      int forced_id, bool journal_it,
                                      const std::string& idem) {
-  core::WorkUnitOptions unit_opts;
-  unit_opts.merge_batch_compatible = true;
-  std::vector<std::vector<std::size_t>> groups =
-      core::plan_work_units(plan, unit_opts);
+  std::vector<std::vector<std::size_t>> groups = core::plan_work_units(plan);
 
   std::lock_guard<std::mutex> lock(mu);
   if (!idem.empty()) {
@@ -250,8 +269,12 @@ int SweepService::Impl::register_job(std::string name, int priority,
   job.configs_total = job.plan.configs.size();
   job.unit_done.assign(groups.size(), false);
   job.unit_configs.reserve(groups.size());
-  for (const std::vector<std::size_t>& group : groups)
+  job.unit_keys.reserve(groups.size());
+  for (const std::vector<std::size_t>& group : groups) {
     job.unit_configs.push_back(group.size());
+    std::set<std::string>& keys = job.unit_keys.emplace_back();
+    for (const std::size_t i : group) keys.insert(job.plan.configs[i].metric_key);
+  }
 
   std::vector<WorkUnit> units;
   units.reserve(groups.size());
@@ -313,6 +336,11 @@ void SweepService::Impl::replay() {
         throw std::runtime_error("SweepService: journal " + opts.journal_path +
                                  " has out-of-range unit for job " +
                                  std::to_string(id));
+      const std::string key_error =
+          job.check_unit_keys(local, record.at("metrics"));
+      if (!key_error.empty())
+        throw std::runtime_error("SweepService: journal " + opts.journal_path +
+                                 ": " + key_error);
       if (job.unit_done[local]) continue;  // duplicate record: idempotent
       const std::string merge_error =
           merge_metrics(job.merged, record.at("metrics"));
@@ -451,11 +479,15 @@ bool SweepService::Impl::handle_result(const util::Json& m, int worker_id) {
       return true;
     }
     if (error.empty()) {
-      const std::string merge_error =
-          merge_metrics(job->merged, *parsed.metrics);
+      // A key set other than the unit's plan (a worker evaluating another
+      // unit or another partition of the plan), then a bit-exactness
+      // violation: either fails THIS JOB loudly (the merged map cannot be
+      // trusted) but keeps serving the others.
+      std::string merge_error = job->check_unit_keys(
+          parsed.unit - job->unit_base, *parsed.metrics);
+      if (merge_error.empty())
+        merge_error = merge_metrics(job->merged, *parsed.metrics);
       if (!merge_error.empty()) {
-        // Bit-exactness violation: fail THIS JOB loudly (the merged map is
-        // poisoned) but keep serving the others.
         job->error = merge_error;
         scheduler->drop_job(job->id);
         error = merge_error;

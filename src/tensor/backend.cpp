@@ -66,9 +66,9 @@ class WorkerPool {
 
   void run(const std::vector<std::pair<int, int>>& ranges,
            const std::function<void(int, int)>& fn) {
-    // One fork/join at a time: concurrent submitters (e.g. two batch sets
-    // evaluated on different sweep threads) queue here instead of racing on
-    // the job slot. The holder always participates, so this cannot deadlock.
+    // One fork/join at a time: concurrent submitters (e.g. two serving
+    // workers granted a fan-out) queue here instead of racing on the job
+    // slot. The holder always participates, so this cannot deadlock.
     std::lock_guard<std::mutex> run_lock(run_mu_);
     std::uint64_t gen;
     {
@@ -250,7 +250,13 @@ void parallel_ranges(int total, int align,
     span.attr("total", static_cast<std::int64_t>(total));
     span.attr("ranges", ranges.size());
   }
-  WorkerPool::instance().run(ranges, fn);
+  // Backend choice is thread-local: pool helpers must compute with the
+  // submitting thread's backend, not the process default.
+  const ComputeBackend backend = active_backend();
+  WorkerPool::instance().run(ranges, [&fn, backend](int begin, int end) {
+    const BackendScope scope(backend);
+    fn(begin, end);
+  });
 }
 
 const char* simd_isa_name() {

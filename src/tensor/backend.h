@@ -81,8 +81,9 @@ const char* simd_isa_name();
 // --- intra-forward parallelism ---------------------------------------------
 
 // Worker count the calling thread's kernel calls may fan out to (>= 1).
-// Defaults to 1 (serial); the batched executor opens a GemmParallelScope
-// around stacked multi-config forward invocations.
+// Defaults to 1 (serial); the inference server opens a GemmParallelScope
+// around each micro-batch forward when granted workers (serve/server.h,
+// sysnoise_serve --gemm-workers).
 int gemm_workers();
 
 // RAII per-thread parallelism grant. `workers <= 0` means "use the

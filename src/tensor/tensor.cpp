@@ -213,35 +213,6 @@ Tensor stack_parts(const std::vector<const Tensor*>& parts) {
   return out;
 }
 
-std::vector<Tensor> unstack_parts(const Tensor& stacked,
-                                  const std::vector<int>& fronts) {
-  if (stacked.rank() < 1)
-    throw std::invalid_argument("unstack_parts: rank-0 tensor");
-  int total = 0;
-  for (const int f : fronts) {
-    if (f <= 0) throw std::invalid_argument("unstack_parts: non-positive front");
-    total += f;
-  }
-  if (total != stacked.dim(0))
-    throw std::invalid_argument("unstack_parts: fronts sum to " +
-                                std::to_string(total) + ", tensor holds " +
-                                std::to_string(stacked.dim(0)));
-  const std::size_t stride =
-      stacked.dim(0) == 0 ? 0 : stacked.size() / static_cast<std::size_t>(stacked.dim(0));
-  std::vector<Tensor> out;
-  out.reserve(fronts.size());
-  const float* src = stacked.data();
-  for (const int f : fronts) {
-    std::vector<int> shape = stacked.shape();
-    shape[0] = f;
-    Tensor part(shape);
-    std::memcpy(part.data(), src, part.size() * sizeof(float));
-    src += static_cast<std::size_t>(f) * stride;
-    out.push_back(std::move(part));
-  }
-  return out;
-}
-
 float max_abs_diff(const Tensor& a, const Tensor& b) {
   assert(a.size() == b.size());
   float m = 0.0f;

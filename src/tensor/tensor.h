@@ -97,15 +97,9 @@ Tensor stack_front(const std::vector<Tensor>& items);
 // one [sum(b_i), d1, ...] tensor along the leading axis. Row-major layout
 // means every sample's bytes are copied verbatim, so sample s of part p is
 // bit-identical at stacked index (b_0 + ... + b_{p-1} + s) — the property
-// the cross-config batched forward engine relies on. Throws
+// micro-batched serving (serve/serving_model.cpp) relies on. Throws
 // std::invalid_argument on trailing-dim mismatch.
 Tensor stack_parts(const std::vector<const Tensor*>& parts);
-
-// Inverse of stack_parts: split a stacked tensor back into parts with the
-// given leading dims (which must sum to stacked.dim(0)). Each returned part
-// is a bit-exact copy of the corresponding sample range.
-std::vector<Tensor> unstack_parts(const Tensor& stacked,
-                                  const std::vector<int>& fronts);
 
 // Maximum absolute difference between two same-shape tensors.
 float max_abs_diff(const Tensor& a, const Tensor& b);

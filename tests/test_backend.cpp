@@ -522,17 +522,15 @@ TEST(BackendConv, BackwardGradientsAgreeAcrossBackendsWithinEpsilon) {
 // ---------------------------------------------------------------------------
 
 TEST(BackendCaching, ForwardKeysSplitByBackendButPreprocessKeysDoNot) {
-  const core::SyntheticStagedTask task(core::TaskKind::kClassification, false,
-                                       1, 1, 1, /*fwd_overhead_rounds=*/4);
+  const core::SyntheticStagedTask task(core::TaskKind::kClassification, false);
   SysNoiseConfig ref_cfg;
   ref_cfg.backend = ComputeBackend::kReference;
   SysNoiseConfig blk_cfg = ref_cfg;
   blk_cfg.backend = ComputeBackend::kBlocked;
   // The kernel family touches nothing in stage 1...
   EXPECT_EQ(task.preprocess_key(ref_cfg), task.preprocess_key(blk_cfg));
-  // ...but forward products, batch stacks, and metrics are all per-backend.
+  // ...but forward products and metrics are per-backend.
   EXPECT_NE(task.forward_key(ref_cfg), task.forward_key(blk_cfg));
-  EXPECT_NE(task.forward_batch_key(ref_cfg), task.forward_batch_key(blk_cfg));
   EXPECT_NE(ref_cfg.describe(), blk_cfg.describe());
 }
 

@@ -550,8 +550,14 @@ TEST(Distributed, DisagreeingDuplicateResultFailsTheRunLoudly) {
       util::Json result = make_message(msg::kResult);
       result.set("job", lease.at("job").as_int());
       result.set("unit", lease.at("unit").as_int());
+      // The unit's planned keys, so the frame passes the key check and
+      // reaches the merge it is meant to poison.
       util::Json jm = util::Json::object();
-      jm.set("some-metric", value);
+      const util::Json& jconfigs = lease.at("configs");
+      for (std::size_t i = 0; i < jconfigs.size(); ++i)
+        jm.set(plan.configs[static_cast<std::size_t>(jconfigs.at(i).as_int())]
+                   .metric_key,
+               value);
       result.set("metrics", std::move(jm));
       if (!net::send_json(sock, result)) return;
       util::Json reply;

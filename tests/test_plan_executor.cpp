@@ -508,6 +508,13 @@ TEST(DiskStageCacheT, WarmRunSkipsForwardPassesToo) {
   EXPECT_EQ(task.pre_runs(), 0);
   EXPECT_GT(task.post_runs(), 0);
   EXPECT_EQ(warm.forward_disk_hits, warm.forward_misses);
+  // Stage-1 reuse counts only groups that ran stage 1: none did.
+  EXPECT_GT(cold.preprocess_hits, 0u);
+  EXPECT_EQ(warm.preprocess_hits, 0u);
+  EXPECT_EQ(warm.preprocess_misses, 0u);
+  // One network invocation per computed forward group.
+  EXPECT_EQ(cold.batched_forward_calls, cold.forward_computed);
+  EXPECT_EQ(warm.batched_forward_calls, 0u);
   std::filesystem::remove_all(dir);
 }
 

@@ -8,6 +8,7 @@
 // bit-identical to an uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -75,9 +76,7 @@ std::string read_all(const std::string& path) {
 }
 
 std::size_t unit_count(const SweepPlan& plan) {
-  core::WorkUnitOptions opts;
-  opts.merge_batch_compatible = true;
-  return core::plan_work_units(plan, opts).size();
+  return core::plan_work_units(plan).size();
 }
 
 // ---------------------------------------------------------------------------
@@ -463,6 +462,132 @@ TEST(Service, RejectsWrongOrMissingTokenLoudlyOnBothPlanes) {
             core::ThreadPoolExecutor().execute(task, plan));
   service.stop();
   worker.join();
+}
+
+// ---------------------------------------------------------------------------
+// unit/result key check
+// ---------------------------------------------------------------------------
+
+util::Json metrics_json(const MetricMap& metrics) {
+  util::Json jm = util::Json::object();
+  for (const auto& [key, value] : metrics) jm.set(key, value);
+  return jm;
+}
+
+TEST(Service, ResultFrameCarryingAnotherUnitsKeysFailsTheJobLoudly) {
+  // An honest evaluation of the WRONG configs (a worker that partitioned
+  // the plan differently) must not mark the leased unit done. An honest
+  // worker then offers to finish the sweep, so a service that accepted the
+  // frame would report the job done (missing the leased unit's metrics)
+  // instead of hanging the test.
+  const SyntheticStagedTask task(TaskKind::kClassification, false);
+  const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
+  const std::vector<std::vector<std::size_t>> units =
+      core::plan_work_units(plan);
+  ASSERT_GE(units.size(), 2u);
+  SweepService service(fast_svc());
+  ClientOptions copts;
+  copts.port = service.port();
+  ServiceClient client(copts);
+  const int job = client.submit(util::Json::object(), plan, 0, "wrong-unit");
+
+  std::thread liar([&] {
+    net::TcpSocket sock = net::TcpSocket::connect("127.0.0.1", service.port());
+    util::Json hello = dist::make_message(dist::msg::kHello);
+    hello.set("protocol", dist::kProtocolVersion);
+    ASSERT_TRUE(net::send_json(sock, hello));
+    util::Json welcome;
+    ASSERT_TRUE(net::recv_json(sock, &welcome));
+    ASSERT_TRUE(net::send_json(sock, dist::make_message(dist::msg::kLeaseRequest)));
+    util::Json lease;
+    ASSERT_TRUE(net::recv_json(sock, &lease));
+    ASSERT_EQ(dist::message_type(lease), "lease");
+    const std::size_t leased =
+        static_cast<std::size_t>(lease.at("configs").at(0).as_int());
+    const std::vector<std::size_t>& other =
+        std::find(units[0].begin(), units[0].end(), leased) != units[0].end()
+            ? units[1]
+            : units[0];
+    util::Json result = dist::make_message(dist::msg::kResult);
+    result.set("job", lease.at("job").as_int());
+    result.set("unit", lease.at("unit").as_int());
+    result.set("metrics", metrics_json(core::ThreadPoolExecutor().execute(
+                              task, plan.slice(other))));
+    ASSERT_TRUE(net::send_json(sock, result));
+    util::Json reply;
+    ASSERT_TRUE(net::recv_json(sock, &reply));
+    EXPECT_EQ(dist::message_type(reply), "error");
+  });
+  liar.join();
+  std::thread worker([&] {
+    dist::run_worker("127.0.0.1", service.port(), fixed_resolver(task), {});
+  });
+  EXPECT_THROW(
+      {
+        try {
+          client.collect(job);
+        } catch (const std::runtime_error& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find("failed"), std::string::npos) << what;
+          EXPECT_NE(what.find("result for job " + std::to_string(job) +
+                              " unit "),
+                    std::string::npos)
+              << what;
+          EXPECT_NE(what.find("planned metric keys"), std::string::npos)
+              << what;
+          throw;
+        }
+      },
+      std::runtime_error);
+  EXPECT_EQ(service.stats().results_received, 0u);
+  service.stop();
+  worker.join();
+}
+
+TEST(Journal, ReplayRefusesAResultRecordCarryingAnotherUnitsKeys) {
+  // A journal whose unit indices come from a different partition of the
+  // plan (e.g. written by a build that merged units) must not resume: its
+  // record for unit 0 would otherwise mark the wrong configs done.
+  const SyntheticStagedTask task(TaskKind::kClassification, false);
+  const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
+  const std::vector<std::vector<std::size_t>> units =
+      core::plan_work_units(plan);
+  ASSERT_GE(units.size(), 2u);
+  const std::string journal = temp_path("svc_wrong_unit");
+  std::remove(journal.c_str());
+  {
+    Journal j(journal);
+    util::Json submit = Journal::make_record(rec::kSubmit);
+    submit.set("job", 1);
+    submit.set("name", "wrong-unit");
+    submit.set("priority", 0);
+    submit.set("task", util::Json::object());
+    submit.set("plan", plan.to_json());
+    j.append(submit);
+    util::Json result = Journal::make_record(rec::kResult);
+    result.set("job", 1);
+    result.set("unit", 0);
+    result.set("metrics", metrics_json(core::ThreadPoolExecutor().execute(
+                              task, plan.slice(units[1]))));
+    j.append(result);
+  }
+  ServiceOptions opts = fast_svc();
+  opts.journal_path = journal;
+  EXPECT_THROW(
+      {
+        try {
+          SweepService service(opts);
+        } catch (const std::runtime_error& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find("result for job 1 unit 0"), std::string::npos)
+              << what;
+          EXPECT_NE(what.find("planned metric keys"), std::string::npos)
+              << what;
+          throw;
+        }
+      },
+      std::runtime_error);
+  std::remove(journal.c_str());
 }
 
 // ---------------------------------------------------------------------------

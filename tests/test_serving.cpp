@@ -341,6 +341,46 @@ TEST(ServeAccuracy, ServedAccuracyMatchesOfflineSweepBitExact) {
   }
 }
 
+// The per-sample forward contract (nn/ops.h) serving relies on: a request's
+// prediction is bit-identical whatever else shares its micro-batch. Batches
+// of 1, 7 (a short odd tail) and 16 (the production cap) over a shuffled
+// request order must all reproduce the single-sample predictions.
+TEST(ServeAccuracy, ClassifierPredictionsAreIndependentOfBatchMix) {
+  auto tc = models::get_classifier("MCUNet");
+  const auto& eval = models::benchmark_cls_dataset().eval;
+  const auto spec = models::cls_pipeline_spec();
+  const int n = static_cast<int>(eval.size());
+
+  std::vector<int> order(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
+  Rng rng(17);
+  for (int i = n - 1; i > 0; --i)
+    std::swap(order[static_cast<std::size_t>(i)],
+              order[static_cast<std::size_t>(rng.uniform_int(i + 1))]);
+
+  SysNoiseConfig blocked = SysNoiseConfig::training_default();
+  blocked.backend = ComputeBackend::kBlocked;
+  for (const SysNoiseConfig& cfg :
+       {SysNoiseConfig::training_default(), blocked}) {
+    const ClassifierServingModel model(tc, eval, spec, cfg);
+    std::vector<int> single(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i)
+      single[static_cast<std::size_t>(i)] = model.predict({i}).at(0);
+    for (const int bs : {1, 7, 16}) {
+      for (int begin = 0; begin < n; begin += bs) {
+        const std::vector<int> batch(
+            order.begin() + begin, order.begin() + std::min(n, begin + bs));
+        const std::vector<int> preds = model.predict(batch);
+        ASSERT_EQ(preds.size(), batch.size());
+        for (std::size_t k = 0; k < batch.size(); ++k)
+          EXPECT_EQ(preds[k], single[static_cast<std::size_t>(batch[k])])
+              << "backend=" << backend_name(cfg.backend) << " bs=" << bs
+              << " sample=" << batch[k];
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // real server (gated model: deterministic, no timing asserts)
 
