@@ -5,7 +5,9 @@
 //
 // Besides the google-benchmark tables, the binary emits a machine-readable
 // BENCH_perf.json (serial vs memoized vs staged sweep timings plus
-// stage-cache accounting and bit-identity checks) so the perf trajectory is
+// stage-cache accounting and bit-identity checks, per-backend kernel
+// timings, and a per-layer ledger of conv2d's data paths on MCUNet's
+// shapes with the whole-forward time they add up to) so the perf trajectory is
 // tracked across PRs — the CI perf-gate job asserts its invariants on every
 // push. Set SYSNOISE_PERF_JSON to override the output path (default:
 // $SYSNOISE_RESULTS_DIR/BENCH_perf.json).
@@ -34,6 +36,7 @@
 #include "image/synthetic.h"
 #include "jpeg/codec.h"
 #include "models/classifiers.h"
+#include "nn/ops.h"
 #include "nn/tape.h"
 #include "resize/resize.h"
 #include "tensor/backend.h"
@@ -393,6 +396,144 @@ std::string perf_json_backends() {
   return os.str();
 }
 
+// conv2d's data paths on MCUNet's layer shapes at serving batch 16, per
+// backend: time, FLOPs and achieved GFLOP/s for the dense stem (pointer
+// im2col + GEMM), a pointwise expansion (the input planes are the GEMM's B)
+// and a depthwise conv (the direct kernel), each checked bit-identical to
+// a naive im2col + gemm() under the same backend — the CI perf-gate
+// asserts that check, not the timings. The whole MCUNet batch-16 forward
+// per backend shows whether the layer gains reach the model.
+struct ConvPathShape {
+  const char* layer;
+  const char* path;
+  int c, h, w, oc, k, stride, pad, groups;
+};
+
+// out = naive im2col + one gemm() per (image, group), as conv2d computed
+// every conv before it grew direct paths.
+std::vector<float> im2col_gemm_conv(const Tensor& x, const Tensor& wt,
+                                    const ConvPathShape& s, int oh, int ow) {
+  const int n = x.dim(0), icg = s.c / s.groups, ocg = s.oc / s.groups;
+  const int rows = icg * s.k * s.k;
+  std::vector<float> out(static_cast<std::size_t>(n) * s.oc * oh * ow);
+  std::vector<float> col(static_cast<std::size_t>(rows) * oh * ow);
+  for (int ni = 0; ni < n; ++ni)
+    for (int g = 0; g < s.groups; ++g) {
+      std::size_t i = 0;
+      for (int c = 0; c < icg; ++c)
+        for (int ky = 0; ky < s.k; ++ky)
+          for (int kx = 0; kx < s.k; ++kx)
+            for (int oy = 0; oy < oh; ++oy)
+              for (int ox = 0; ox < ow; ++ox, ++i) {
+                const int iy = oy * s.stride - s.pad + ky;
+                const int ix = ox * s.stride - s.pad + kx;
+                col[i] = iy >= 0 && iy < s.h && ix >= 0 && ix < s.w
+                             ? x.at4(ni, g * icg + c, iy, ix)
+                             : 0.0f;
+              }
+      gemm(ocg, oh * ow, rows,
+           wt.data() + static_cast<std::size_t>(g) * ocg * rows, col.data(),
+           out.data() + (static_cast<std::size_t>(ni) * s.oc + g * ocg) * oh * ow);
+    }
+  return out;
+}
+
+// Best-of-5 mean time of `iters` back-to-back calls, in ms per call.
+double per_call_ms(const std::function<void()>& fn, int iters) {
+  return time_ms(
+             [&] {
+               for (int i = 0; i < iters; ++i) fn();
+             },
+             5) /
+         iters;
+}
+
+std::string perf_json_conv_paths() {
+  constexpr int kBatch = 16;
+  constexpr int kIters = 20;
+  const ConvPathShape shapes[] = {
+      {"stem", "im2col_gemm", 3, 32, 32, 8, 3, 2, 1, 1},
+      {"b1.exp", "pointwise", 12, 8, 8, 24, 1, 1, 0, 1},
+      {"b1.dw", "depthwise", 24, 8, 8, 24, 3, 1, 1, 24},
+  };
+  Rng rng(17);
+  std::ostringstream os;
+  os << "  \"conv_paths\": {\n"
+     << "    \"model\": \"MCUNet\",\n"
+     << "    \"batch\": " << kBatch << ",\n"
+     << "    \"layers\": [\n";
+  for (std::size_t si = 0; si < std::size(shapes); ++si) {
+    const ConvPathShape& s = shapes[si];
+    const int oh = (s.h + 2 * s.pad - s.k) / s.stride + 1;
+    const int ow = (s.w + 2 * s.pad - s.k) / s.stride + 1;
+    Tensor x({kBatch, s.c, s.h, s.w});
+    for (float& v : x.vec()) v = rng.uniform_f(-1.0f, 1.0f);
+    Tensor wt({s.oc, s.c / s.groups, s.k, s.k});
+    for (float& v : wt.vec()) v = rng.uniform_f(-1.0f, 1.0f);
+    nn::Param wp(wt);
+    const long long flops = 2LL * kBatch * s.oc * oh * ow * (s.c / s.groups) *
+                            s.k * s.k;
+    os << "      {\"layer\": \"" << s.layer << "\", \"path\": \"" << s.path
+       << "\",\n"
+       << "       \"input\": [" << kBatch << ", " << s.c << ", " << s.h << ", "
+       << s.w << "], \"out_channels\": " << s.oc << ", \"kernel\": " << s.k
+       << ", \"stride\": " << s.stride << ", \"pad\": " << s.pad
+       << ", \"groups\": " << s.groups << ",\n"
+       << "       \"flops\": " << flops << ",\n"
+       << "       \"backends\": [\n";
+    for (int bi = 0; bi < kNumComputeBackends; ++bi) {
+      const auto backend = static_cast<ComputeBackend>(bi);
+      auto conv = [&](nn::Tape& t) {
+        t.ctx.backend = backend;
+        return nn::conv2d(t, t.input(x), wp, nullptr,
+                          {s.stride, s.pad, s.groups}, s.layer);
+      };
+      nn::Tape check;
+      const Tensor& got = conv(check)->value;
+      std::vector<float> expect;
+      {
+        const BackendScope scope(backend);
+        expect = im2col_gemm_conv(x, wt, s, oh, ow);
+      }
+      const bool identical =
+          got.size() == expect.size() &&
+          std::memcmp(got.data(), expect.data(), got.size() * sizeof(float)) == 0;
+      const double ms = per_call_ms(
+          [&] {
+            nn::Tape t;
+            conv(t);
+          },
+          kIters);
+      os << "         {\"backend\": \"" << backend_name(backend)
+         << "\", \"ms\": " << ms << ", \"gflops\": " << flops / (ms * 1e6)
+         << ", \"bit_identical_to_im2col_gemm\": "
+         << (identical ? "true" : "false") << "}"
+         << (bi + 1 < kNumComputeBackends ? ",\n" : "\n");
+    }
+    os << "       ]}" << (si + 1 < std::size(shapes) ? ",\n" : "\n");
+  }
+
+  Rng model_rng(3);
+  auto model = models::make_classifier("MCUNet", 10, model_rng);
+  Tensor batch({kBatch, 3, 32, 32});
+  for (float& v : batch.vec()) v = model_rng.uniform_f(-1.0f, 1.0f);
+  os << "    ],\n    \"forward_ms\": {";
+  for (int bi = 0; bi < kNumComputeBackends; ++bi) {
+    const auto backend = static_cast<ComputeBackend>(bi);
+    const double ms = per_call_ms(
+        [&] {
+          nn::Tape t;
+          t.ctx.backend = backend;
+          model->forward(t, t.input(batch), nn::BnMode::kEval);
+        },
+        kIters);
+    os << "\"" << backend_name(backend) << "\": " << ms
+       << (bi + 1 < kNumComputeBackends ? ", " : "");
+  }
+  os << "}\n  }";
+  return os.str();
+}
+
 bool write_perf_json() {
   std::ostringstream os;
   os << "{\n  \"bench\": \"sweep_engine\",\n"
@@ -404,6 +545,7 @@ bool write_perf_json() {
      << perf_json_workload("detection", core::TaskKind::kDetection) << "\n"
      << "  ],\n"
      << perf_json_backends() << ",\n"
+     << perf_json_conv_paths() << ",\n"
      << perf_json_disk_cache() << "\n}\n";
 
   const char* override_path = std::getenv("SYSNOISE_PERF_JSON");

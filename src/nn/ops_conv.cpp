@@ -10,44 +10,91 @@ namespace sysnoise::nn {
 
 namespace {
 
-void im2col(const Tensor& x, int n, int c_begin, int c_count, int k, int stride,
-            int pad, int oh, int ow, float* col) {
-  const int h = x.dim(2), w = x.dim(3);
-  // col layout: [c_count*k*k, oh*ow]
-  for (int c = 0; c < c_count; ++c)
-    for (int ky = 0; ky < k; ++ky)
-      for (int kx = 0; kx < k; ++kx) {
-        float* row = col + static_cast<std::size_t>((c * k + ky) * k + kx) * oh * ow;
-        for (int oy = 0; oy < oh; ++oy) {
-          const int iy = oy * stride - pad + ky;
-          for (int ox = 0; ox < ow; ++ox) {
-            const int ix = ox * stride - pad + kx;
-            row[oy * ow + ox] =
-                (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                    ? x.at4(n, c_begin + c, iy, ix)
-                    : 0.0f;
-          }
-        }
-      }
+// Output positions o in [0, out) whose input index o*stride + off lands in
+// [0, size), as the half-open range [*lo, *hi) (empty when *lo == *hi).
+void valid_span(int size, int off, int stride, int out, int* lo, int* hi) {
+  const int first = off >= 0 ? 0 : (stride - 1 - off) / stride;
+  const int last = off < size ? (size - 1 - off) / stride + 1 : 0;
+  *lo = std::min(first, out);
+  *hi = std::max(*lo, std::min(last, out));
 }
 
-void col2im_acc(const float* col, int n, int c_begin, int c_count, int k, int stride,
-                int pad, int oh, int ow, Tensor& gx) {
-  const int h = gx.dim(2), w = gx.dim(3);
-  for (int c = 0; c < c_count; ++c)
-    for (int ky = 0; ky < k; ++ky)
+// x points at the first of c_count contiguous h x w input planes.
+// col layout: [c_count*k*k, oh*ow]; row (c, ky, kx) holds the input under
+// tap (ky, kx) for every output position, 0 where the tap is in padding.
+void im2col(const float* x, int h, int w, int c_count, int k, int stride,
+            int pad, int oh, int ow, float* col) {
+  const std::ptrdiff_t ohw = static_cast<std::ptrdiff_t>(oh) * ow;
+  for (int c = 0; c < c_count; ++c) {
+    const float* plane = x + static_cast<std::ptrdiff_t>(c) * h * w;
+    for (int ky = 0; ky < k; ++ky) {
+      int oy0, oy1;
+      valid_span(h, ky - pad, stride, oh, &oy0, &oy1);
       for (int kx = 0; kx < k; ++kx) {
-        const float* row = col + static_cast<std::size_t>((c * k + ky) * k + kx) * oh * ow;
-        for (int oy = 0; oy < oh; ++oy) {
-          const int iy = oy * stride - pad + ky;
-          if (iy < 0 || iy >= h) continue;
-          for (int ox = 0; ox < ow; ++ox) {
-            const int ix = ox * stride - pad + kx;
-            if (ix < 0 || ix >= w) continue;
-            gx.at4(n, c_begin + c, iy, ix) += row[oy * ow + ox];
+        int ox0, ox1;
+        valid_span(w, kx - pad, stride, ow, &ox0, &ox1);
+        float* row = col + ((c * k + ky) * k + kx) * ohw;
+        std::fill(row, row + static_cast<std::ptrdiff_t>(oy0) * ow, 0.0f);
+        for (int oy = oy0; oy < oy1; ++oy) {
+          const float* src =
+              plane + static_cast<std::ptrdiff_t>(oy * stride - pad + ky) * w;
+          float* dst = row + static_cast<std::ptrdiff_t>(oy) * ow;
+          const int ix0 = ox0 * stride - pad + kx;
+          std::fill(dst, dst + ox0, 0.0f);
+          if (ox1 > ox0 && stride == 1) {
+            std::copy(src + ix0, src + ix0 + (ox1 - ox0), dst + ox0);
+          } else {
+            for (int ox = ox0, ix = ix0; ox < ox1; ++ox, ix += stride)
+              dst[ox] = src[ix];
           }
+          std::fill(dst + ox1, dst + ow, 0.0f);
+        }
+        std::fill(row + static_cast<std::ptrdiff_t>(oy1) * ow, row + ohw, 0.0f);
+      }
+    }
+  }
+}
+
+// Adjoint of im2col: gx points at the first of c_count h x w gradient
+// planes; each in-bounds col entry is added to the input element it read.
+void col2im_acc(const float* col, int h, int w, int c_count, int k, int stride,
+                int pad, int oh, int ow, float* gx) {
+  const std::ptrdiff_t ohw = static_cast<std::ptrdiff_t>(oh) * ow;
+  for (int c = 0; c < c_count; ++c) {
+    float* plane = gx + static_cast<std::ptrdiff_t>(c) * h * w;
+    for (int ky = 0; ky < k; ++ky) {
+      int oy0, oy1;
+      valid_span(h, ky - pad, stride, oh, &oy0, &oy1);
+      for (int kx = 0; kx < k; ++kx) {
+        int ox0, ox1;
+        valid_span(w, kx - pad, stride, ow, &ox0, &ox1);
+        const float* row = col + ((c * k + ky) * k + kx) * ohw;
+        for (int oy = oy0; oy < oy1; ++oy) {
+          float* dst =
+              plane + static_cast<std::ptrdiff_t>(oy * stride - pad + ky) * w;
+          const float* src = row + static_cast<std::ptrdiff_t>(oy) * ow;
+          for (int ox = ox0, ix = ox0 * stride - pad + kx; ox < ox1;
+               ++ox, ix += stride)
+            dst[ix] += src[ox];
         }
       }
+    }
+  }
+}
+
+// Copy an h x w plane into the middle of a zeroed (h+2*pad) x (w+2*pad) one.
+void pad_plane(const float* x, int h, int w, int pad, float* xp) {
+  const int wp = w + 2 * pad;
+  const std::ptrdiff_t border = static_cast<std::ptrdiff_t>(pad) * wp;
+  std::fill(xp, xp + border, 0.0f);
+  float* dst = xp + border;
+  for (int y = 0; y < h; ++y, dst += wp) {
+    std::fill(dst, dst + pad, 0.0f);
+    std::copy(x + static_cast<std::ptrdiff_t>(y) * w,
+              x + static_cast<std::ptrdiff_t>(y + 1) * w, dst + pad);
+    std::fill(dst + pad + w, dst + wp, 0.0f);
+  }
+  std::fill(dst, dst + border, 0.0f);
 }
 
 }  // namespace
@@ -65,12 +112,25 @@ int pooled_size(int in, int kernel, int stride, int pad, bool ceil_mode) {
 
 Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
              const std::string& layer_id) {
+  auto reject = [&](const std::string& why) {
+    throw std::invalid_argument("conv2d " + layer_id + ": " + why);
+  };
+  if (x->value.rank() != 4) reject("input must be [N, C, H, W]");
+  if (w.value.rank() != 4 || w.value.dim(2) != w.value.dim(3))
+    reject("weight must be [OC, C/groups, K, K] with a square kernel");
+  if (spec.stride < 1)
+    reject("stride must be >= 1, got " + std::to_string(spec.stride));
+  if (spec.pad < 0) reject("pad must be >= 0, got " + std::to_string(spec.pad));
   const int n = x->value.dim(0), c = x->value.dim(1), h = x->value.dim(2),
             wd = x->value.dim(3);
   const int oc = w.value.dim(0), icg = w.value.dim(1), k = w.value.dim(2);
   const int groups = spec.groups;
-  if (c != icg * groups || oc % groups != 0)
-    throw std::invalid_argument("conv2d: channel/group mismatch");
+  if (groups < 1 || c != icg * groups || oc % groups != 0)
+    reject("channel/group mismatch");
+  if (h + 2 * spec.pad < k || wd + 2 * spec.pad < k)
+    reject("kernel " + std::to_string(k) + " is larger than the padded input " +
+           std::to_string(h) + "x" + std::to_string(wd) + " (pad " +
+           std::to_string(spec.pad) + ")");
   const int oh = (h + 2 * spec.pad - k) / spec.stride + 1;
   const int ow = (wd + 2 * spec.pad - k) / spec.stride + 1;
   const int ocg = oc / groups;
@@ -83,24 +143,50 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
 
   const BackendScope backend_scope(t.ctx.backend);
   Tensor out({n, oc, oh, ow});
-  // im2col columns come from the thread-local scratch arena (slot 2): sized
-  // once per (shape, groups) high-water mark, reused across the whole batch
-  // loop and across forward calls instead of a fresh vector per invocation.
+  // Three data paths, each bit-identical per backend to im2col + gemm():
+  //  - depthwise (one channel in, one out): the direct per-plane kernel on a
+  //    zero-padded copy of the plane (scratch slot 3), or on the plane
+  //    itself when there is no padding;
+  //  - pointwise (1x1, stride 1, no pad): im2col would be an identity copy,
+  //    so the input planes are the GEMM's B operand as they stand;
+  //  - everything else: im2col into scratch slot 2, then gemm().
+  // Scratch comes from the thread-local arena, sized once per high-water
+  // mark and reused across the batch loop and across forward calls.
+  const bool depthwise = icg == 1 && ocg == 1;
+  const bool pointwise = k == 1 && spec.stride == 1 && spec.pad == 0;
+  const int padded_h = h + 2 * spec.pad, padded_w = wd + 2 * spec.pad;
   const std::size_t col_floats = static_cast<std::size_t>(col_rows) * oh * ow;
   auto conv_one = [&](int idx) {
     const int ni = idx / groups, g = idx % groups;
-    float* col = tls_scratch(col_floats, /*slot=*/2);
-    im2col(xin, ni, g * icg, icg, k, spec.stride, spec.pad, oh, ow, col);
-    // out[ni, g*ocg : (g+1)*ocg] = Wg[ocg x col_rows] * col[col_rows x oh*ow]
+    const float* x_ptr = &xin.at4(ni, g * icg, 0, 0);
     float* out_ptr = &out.at4(ni, g * ocg, 0, 0);
     const float* w_ptr = wq.data() + static_cast<std::size_t>(g) * ocg * col_rows;
-    gemm(ocg, oh * ow, col_rows, w_ptr, col, out_ptr);
+    if (depthwise) {
+      const float* xp = x_ptr;
+      if (spec.pad > 0) {
+        float* padded = tls_scratch(
+            static_cast<std::size_t>(padded_h) * padded_w, /*slot=*/3);
+        pad_plane(x_ptr, h, wd, spec.pad, padded);
+        xp = padded;
+      }
+      depthwise_conv_plane(k, spec.stride, w_ptr, xp, padded_w, oh, ow,
+                           out_ptr);
+      return;
+    }
+    const float* b_ptr = x_ptr;
+    if (!pointwise) {
+      float* col = tls_scratch(col_floats, /*slot=*/2);
+      im2col(x_ptr, h, wd, icg, k, spec.stride, spec.pad, oh, ow, col);
+      b_ptr = col;
+    }
+    // out[ni, g*ocg : (g+1)*ocg] = Wg[ocg x col_rows] * B[col_rows x oh*ow]
+    gemm(ocg, oh * ow, col_rows, w_ptr, b_ptr, out_ptr);
   };
   // With a parallelism grant (a serving worker's GemmParallelScope), split the
-  // (image, group) space across the pool — each worker im2cols into its own
-  // scratch and writes a disjoint output slab, so results are bit-identical
-  // at any worker count. A single (image, group) instead lets the GEMM split
-  // its output-channel rows.
+  // (image, group) space across the pool — each worker uses its own scratch
+  // and writes a disjoint output slab, so results are bit-identical at any
+  // worker count. A single (image, group) instead lets the GEMM split its
+  // output-channel rows.
   if (gemm_workers() > 1 && n * groups > 1)
     parallel_ranges(n * groups, /*align=*/1, [&](int begin, int end) {
       for (int idx = begin; idx < end; ++idx) conv_one(idx);
@@ -123,15 +209,16 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
   const Conv2dSpec sp = spec;
   const ComputeBackend backend = t.ctx.backend;
   // Backward uses the full-precision weights/input (straight-through).
-  y->backprop = [y, xn, wp, bp, sp, n, icg, k, oh, ow, ocg, groups, col_rows,
-                 backend]() {
+  y->backprop = [y, xn, wp, bp, sp, n, h, wd, icg, k, oh, ow, ocg, groups,
+                 col_rows, backend]() {
     const BackendScope bw_scope(backend);
     const std::size_t col_floats = static_cast<std::size_t>(col_rows) * oh * ow;
     float* col = tls_scratch(col_floats, /*slot=*/2);
     float* gcol = tls_scratch(col_floats, /*slot=*/3);
     for (int ni = 0; ni < n; ++ni) {
       for (int g = 0; g < groups; ++g) {
-        im2col(xn->value, ni, g * icg, icg, k, sp.stride, sp.pad, oh, ow, col);
+        im2col(&xn->value.at4(ni, g * icg, 0, 0), h, wd, icg, k, sp.stride,
+               sp.pad, oh, ow, col);
         const float* gout = &y->grad.at4(ni, g * ocg, 0, 0);
         // grad_w += gout [ocg x ohw] * col^T  (col is [col_rows x ohw])
         float* gw = wp->grad.data() + static_cast<std::size_t>(g) * ocg * col_rows;
@@ -141,8 +228,8 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
           const float* w_ptr =
               wp->value.data() + static_cast<std::size_t>(g) * ocg * col_rows;
           gemm_at(col_rows, oh * ow, ocg, w_ptr, gout, gcol);
-          col2im_acc(gcol, ni, g * icg, icg, k, sp.stride, sp.pad, oh, ow,
-                     xn->grad);
+          col2im_acc(gcol, h, wd, icg, k, sp.stride, sp.pad, oh, ow,
+                     &xn->grad.at4(ni, g * icg, 0, 0));
         }
       }
       if (bp != nullptr) {

@@ -1,7 +1,16 @@
-// Pluggable compute backends for the GEMM / im2col-conv hot path.
+// Pluggable compute backends for the GEMM / conv hot path.
 //
-// Every float GEMM in the engine (tensor/gemm.h) and the conv2d im2col path
-// (nn/ops_conv.cpp) dispatch through the active ComputeBackend:
+// Every float GEMM in the engine (tensor/gemm.h) and every conv2d forward
+// (nn/ops_conv.cpp) dispatch through the active ComputeBackend. conv2d has
+// three data paths, each bit-identical per backend to im2col + gemm():
+//
+//  - depthwise (one input and one output channel per group): the direct
+//    per-plane kernel depthwise_conv_plane() on the zero-padded plane;
+//  - pointwise (1x1, stride 1, no padding): the input planes are passed to
+//    gemm() as its B operand, since their im2col would be an identity copy;
+//  - everything else: pointer im2col into scratch, then gemm().
+//
+// The backends:
 //
 //  - kReference  — the historical scalar loops, bit-identical to the seed's
 //                  output. Keeps the zero-skip (`if (av == 0.0f) continue;`)
@@ -123,7 +132,9 @@ void parallel_ranges(int total, int align,
 // floats for `slot`, reused (and only ever grown) across calls, so per-call
 // hot-path allocations (GEMM packing panels, conv im2col columns) happen
 // once per thread per high-water mark instead of once per invocation.
-// Slots 0-1 are reserved for GEMM packing; conv uses 2-3. The buffer stays
+// Slots 0-1 are reserved for GEMM packing; conv uses 2-3: slot 2 holds
+// im2col columns, slot 3 the zero-padded plane of the depthwise forward
+// path and the column gradient of the backward pass. The buffer stays
 // valid until the same thread asks for the same slot again.
 float* tls_scratch(std::size_t floats, int slot);
 

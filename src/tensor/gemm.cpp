@@ -17,13 +17,19 @@
 //    rounding makes this a genuinely different float profile — which is
 //    the point: the backend is a measured noise axis.
 //
-// All public entry points additionally split large-M row ranges across the
+// depthwise_conv_plane() is the m = 1 GEMM of a depthwise conv computed in
+// place on the padded plane: one direct kernel per backend (scalar with the
+// reference zero-skip, scalar mul+add, AVX2/NEON FMA under the same ISA
+// dispatch as the micro-kernels), each bit-identical to its backend's GEMM.
+//
+// All GEMM entry points additionally split large-M row ranges across the
 // worker pool when the caller granted parallelism (GemmParallelScope); row
 // ranges are disjoint and accumulation order per element is unchanged, so
 // results are bit-identical at every worker count.
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -226,6 +232,156 @@ MicroKernel simd_micro_kernel() {
 #endif
 }
 
+// ---------------------------------------------------------------------------
+// Direct depthwise kernels: gemm(1, oh*ow, k*k) without im2col or packing
+// ---------------------------------------------------------------------------
+
+// A depthwise GEMM has m = 1, so through the packed engine three of every
+// four micro-kernel rows are padding and B is repacked on each call. These
+// kernels read the zero-padded plane in place and run, per output element,
+// exactly the chain that backend's GEMM runs for it: taps in (ky, kx) order
+// from a zero accumulator, padded taps multiplied in as zeros (so inf/NaN
+// weights still propagate). The packed engine ends every tile with
+// `C += acc` into a zeroed C, and its kernels repeat that 0 + acc: an FMA
+// chain whose product underflows can end on -0, which the add turns into
+// +0. (Where the compiler contracts the scalar mul+add into FMA, as on
+// aarch64, the blocked chain can too; the reference GEMM accumulates in C
+// itself and has no such step.)
+
+// orow[ox] += wv * xrow[ox * stride] for ox in [0, ow).
+inline void axpy_row(int ow, int stride, float wv, const float* xrow,
+                     float* orow) {
+  if (stride == 1)
+    for (int ox = 0; ox < ow; ++ox) orow[ox] += wv * xrow[ox];
+  else
+    for (int ox = 0; ox < ow; ++ox) orow[ox] += wv * xrow[ox * stride];
+}
+
+// out accumulates every tap in (ky, kx) order; the reference flavor skips
+// zero weights like ref_gemm_acc.
+template <bool kSkipZeroWeights>
+void dw_scalar_taps(int k, int stride, const float* w, const float* xp,
+                    int xp_w, int oh, int ow, float* out) {
+  std::fill(out, out + static_cast<std::ptrdiff_t>(oh) * ow, 0.0f);
+  for (int ky = 0; ky < k; ++ky)
+    for (int kx = 0; kx < k; ++kx) {
+      const float wv = w[ky * k + kx];
+      if (kSkipZeroWeights && wv == 0.0f) continue;
+      for (int oy = 0; oy < oh; ++oy)
+        axpy_row(ow, stride, wv,
+                 xp + static_cast<std::ptrdiff_t>(oy * stride + ky) * xp_w + kx,
+                 out + static_cast<std::ptrdiff_t>(oy) * ow);
+    }
+}
+
+// Reference: ref_gemm_acc's chain, C itself being the accumulator.
+void dw_reference(int k, int stride, const float* w, const float* xp, int xp_w,
+                  int oh, int ow, float* out) {
+  dw_scalar_taps<true>(k, stride, w, xp, xp_w, oh, ow, out);
+}
+
+// Blocked (and simd without a vector ISA): micro_scalar's mul+add chain,
+// then packed_gemm_rows' add into the zeroed C.
+void dw_scalar(int k, int stride, const float* w, const float* xp, int xp_w,
+               int oh, int ow, float* out) {
+  dw_scalar_taps<false>(k, stride, w, xp, xp_w, oh, ow, out);
+  const std::ptrdiff_t total = static_cast<std::ptrdiff_t>(oh) * ow;
+  for (std::ptrdiff_t i = 0; i < total; ++i) out[i] = 0.0f + out[i];
+}
+
+// The FMA kernels' scalar tail: one output's chain, fmaf per tap. fmaf
+// rounds once, like the vector FMA.
+inline float fma_taps(int k, const float* w, const float* base, int xp_w) {
+  float acc = 0.0f;
+  for (int ky = 0; ky < k; ++ky)
+    for (int kx = 0; kx < k; ++kx)
+      acc = std::fma(w[ky * k + kx],
+                     base[static_cast<std::ptrdiff_t>(ky) * xp_w + kx], acc);
+  return acc;
+}
+
+#if defined(SYSNOISE_GEMM_X86)
+// micro_avx2's FMA chain, 8 output columns per vector (gathered at stride
+// > 1), with the scalar fma_taps tail.
+__attribute__((target("avx2,fma"))) void dw_avx2(int k, int stride,
+                                                 const float* w,
+                                                 const float* xp, int xp_w,
+                                                 int oh, int ow, float* out) {
+  const __m256i lanes = _mm256_mullo_epi32(
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), _mm256_set1_epi32(stride));
+  for (int oy = 0; oy < oh; ++oy) {
+    const float* xrow = xp + static_cast<std::ptrdiff_t>(oy * stride) * xp_w;
+    float* orow = out + static_cast<std::ptrdiff_t>(oy) * ow;
+    int ox = 0;
+    for (; ox + 8 <= ow; ox += 8) {
+      const float* base = xrow + static_cast<std::ptrdiff_t>(ox) * stride;
+      __m256 acc = _mm256_setzero_ps();
+      for (int ky = 0; ky < k; ++ky)
+        for (int kx = 0; kx < k; ++kx) {
+          const float* src = base + static_cast<std::ptrdiff_t>(ky) * xp_w + kx;
+          const __m256 xv = stride == 1 ? _mm256_loadu_ps(src)
+                                        : _mm256_i32gather_ps(src, lanes, 4);
+          acc = _mm256_fmadd_ps(_mm256_set1_ps(w[ky * k + kx]), xv, acc);
+        }
+      _mm256_storeu_ps(orow + ox, _mm256_add_ps(_mm256_setzero_ps(), acc));
+    }
+    for (; ox < ow; ++ox)
+      orow[ox] = 0.0f + fma_taps(k, w,
+                                 xrow + static_cast<std::ptrdiff_t>(ox) * stride,
+                                 xp_w);
+  }
+}
+#endif
+
+#if defined(SYSNOISE_GEMM_NEON)
+// micro_neon's FMA chain, 4 output columns per vector, fma_taps tail.
+void dw_neon(int k, int stride, const float* w, const float* xp, int xp_w,
+             int oh, int ow, float* out) {
+  for (int oy = 0; oy < oh; ++oy) {
+    const float* xrow = xp + static_cast<std::ptrdiff_t>(oy * stride) * xp_w;
+    float* orow = out + static_cast<std::ptrdiff_t>(oy) * ow;
+    int ox = 0;
+    for (; ox + 4 <= ow; ox += 4) {
+      const float* base = xrow + static_cast<std::ptrdiff_t>(ox) * stride;
+      float32x4_t acc = vdupq_n_f32(0.0f);
+      for (int ky = 0; ky < k; ++ky)
+        for (int kx = 0; kx < k; ++kx) {
+          const float* src = base + static_cast<std::ptrdiff_t>(ky) * xp_w + kx;
+          float32x4_t xv;
+          if (stride == 1) {
+            xv = vld1q_f32(src);
+          } else {
+            const float lanes[4] = {src[0], src[stride], src[2 * stride],
+                                    src[3 * stride]};
+            xv = vld1q_f32(lanes);
+          }
+          acc = vfmaq_f32(acc, vdupq_n_f32(w[ky * k + kx]), xv);
+        }
+      vst1q_f32(orow + ox, vaddq_f32(vdupq_n_f32(0.0f), acc));
+    }
+    for (; ox < ow; ++ox)
+      orow[ox] = 0.0f + fma_taps(k, w,
+                                 xrow + static_cast<std::ptrdiff_t>(ox) * stride,
+                                 xp_w);
+  }
+}
+#endif
+
+using DepthwiseKernel = void (*)(int, int, const float*, const float*, int,
+                                 int, int, float*);
+
+// The simd backend's depthwise kernel follows simd_micro_kernel()'s ISA
+// choice, so the two can never disagree on which rounding kSimd means.
+DepthwiseKernel simd_depthwise_kernel() {
+#if defined(SYSNOISE_GEMM_X86)
+  return simd_micro_kernel() == &micro_avx2 ? &dw_avx2 : &dw_scalar;
+#elif defined(SYSNOISE_GEMM_NEON)
+  return &dw_neon;
+#else
+  return &dw_scalar;
+#endif
+}
+
 // C[i0:i0+mb) rows += op(A) * op(B) over the full k range through packed
 // panels. Packing cost: A once per call (k-major MR panels, zero-padded
 // tail rows), B once per NR column strip (reused across all row panels).
@@ -367,6 +523,17 @@ void gemm_at_acc(int m, int n, int k, const float* a, const float* b, float* c) 
 
 void gemm_bt_acc(int m, int n, int k, const float* a, const float* b, float* c) {
   dispatch_acc(m, n, k, AMode::kNormal, a, BMode::kTransposed, b, c);
+}
+
+void depthwise_conv_plane(int k, int stride, const float* w, const float* xp,
+                          int xp_w, int oh, int ow, float* out) {
+  DepthwiseKernel kernel = &dw_reference;
+  switch (active_backend()) {
+    case ComputeBackend::kReference: kernel = &dw_reference; break;
+    case ComputeBackend::kBlocked: kernel = &dw_scalar; break;
+    case ComputeBackend::kSimd: kernel = simd_depthwise_kernel(); break;
+  }
+  kernel(k, stride, w, xp, xp_w, oh, ow, out);
 }
 
 }  // namespace sysnoise

@@ -2,19 +2,23 @@
 // between the reference / blocked / simd kernel families, per-backend
 // bit-exact self-consistency (including under the intra-forward worker
 // pool), the reference backend's documented zero-skip vs IEEE non-finite
-// propagation, conv2d im2col edge cases per backend, and backend-scoped
-// stage caching (forward products from different kernels never mix, in
-// memory or on disk).
+// propagation, conv2d's data paths (pointer im2col, pointwise, direct
+// depthwise) bit-identical to im2col + gemm() per backend, conv2d geometry
+// validation, and backend-scoped stage caching (forward products from
+// different kernels never mix, in memory or on disk).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <limits>
 #include <mutex>
 #include <set>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -429,6 +433,11 @@ Tensor random_tensor(std::vector<int> shape, Rng& rng) {
 
 struct ConvCase {
   int n, c, h, w, oc, k, stride, pad, groups;
+  int icg() const { return c / groups; }
+  int ocg() const { return oc / groups; }
+  int oh() const { return (h + 2 * pad - k) / stride + 1; }
+  int ow() const { return (w + 2 * pad - k) / stride + 1; }
+  int col_rows() const { return icg() * k * k; }
 };
 
 TEST(BackendConv, Im2colEdgeCasesMatchDirectConvolutionPerBackend) {
@@ -515,6 +524,286 @@ TEST(BackendConv, BackwardGradientsAgreeAcrossBackendsWithinEpsilon) {
           << backend_name(backend);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// conv2d's data paths vs the im2col + gemm() computation, bit for bit
+// ---------------------------------------------------------------------------
+
+// The straightforward conv computation conv2d's depthwise, pointwise and
+// pointer-im2col paths must reproduce exactly: per (image, group) a naive
+// im2col, one gemm() under the backend, then the bias.
+std::vector<float> naive_im2col(const Tensor& x, int ni, int c0, int icg,
+                                int k, int stride, int pad, int oh, int ow) {
+  const int h = x.dim(2), w = x.dim(3);
+  std::vector<float> col(static_cast<std::size_t>(icg) * k * k * oh * ow);
+  std::size_t i = 0;
+  for (int c = 0; c < icg; ++c)
+    for (int ky = 0; ky < k; ++ky)
+      for (int kx = 0; kx < k; ++kx)
+        for (int oy = 0; oy < oh; ++oy)
+          for (int ox = 0; ox < ow; ++ox, ++i) {
+            const int iy = oy * stride - pad + ky, ix = ox * stride - pad + kx;
+            col[i] = iy >= 0 && iy < h && ix >= 0 && ix < w
+                         ? x.at4(ni, c0 + c, iy, ix)
+                         : 0.0f;
+          }
+  return col;
+}
+
+void naive_col2im_acc(const std::vector<float>& col, int ni, int c0, int icg,
+                      int k, int stride, int pad, int oh, int ow, Tensor& gx) {
+  const int h = gx.dim(2), w = gx.dim(3);
+  std::size_t i = 0;
+  for (int c = 0; c < icg; ++c)
+    for (int ky = 0; ky < k; ++ky)
+      for (int kx = 0; kx < k; ++kx)
+        for (int oy = 0; oy < oh; ++oy)
+          for (int ox = 0; ox < ow; ++ox, ++i) {
+            const int iy = oy * stride - pad + ky, ix = ox * stride - pad + kx;
+            if (iy >= 0 && iy < h && ix >= 0 && ix < w)
+              gx.at4(ni, c0 + c, iy, ix) += col[i];
+          }
+}
+
+std::string describe(const ConvCase& g) {
+  std::ostringstream os;
+  os << "n=" << g.n << " c=" << g.c << " " << g.h << "x" << g.w
+     << " oc=" << g.oc << " k=" << g.k << " s=" << g.stride << " p=" << g.pad
+     << " groups=" << g.groups;
+  return os.str();
+}
+
+Tensor im2col_gemm_conv(ComputeBackend backend, const ConvCase& g,
+                        const Tensor& x, const Tensor& w, const Tensor* bias) {
+  const BackendScope scope(backend);
+  const int oh = g.oh(), ow = g.ow(), rows = g.col_rows();
+  Tensor out({g.n, g.oc, oh, ow});
+  for (int ni = 0; ni < g.n; ++ni)
+    for (int gi = 0; gi < g.groups; ++gi) {
+      const auto col = naive_im2col(x, ni, gi * g.icg(), g.icg(), g.k,
+                                    g.stride, g.pad, oh, ow);
+      gemm(g.ocg(), oh * ow, rows,
+           w.data() + static_cast<std::size_t>(gi) * g.ocg() * rows,
+           col.data(), &out.at4(ni, gi * g.ocg(), 0, 0));
+    }
+  if (bias != nullptr)
+    for (int ni = 0; ni < g.n; ++ni)
+      for (int co = 0; co < g.oc; ++co) {
+        float* p = &out.at4(ni, co, 0, 0);
+        for (int i = 0; i < oh * ow; ++i) p[i] += (*bias)[co];
+      }
+  return out;
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Byte equality, except that two NaNs match whatever their sign/payload.
+// Where an input NaN (+nan) and a generated one (inf*0 or inf-inf: -nan on
+// x86) meet in one accumulation, SSE keeps the first source operand's NaN,
+// and which operand comes first is the compiler's register choice — the
+// packed micro-kernel itself picks differently for its two column halves.
+// So that bit is not a property of the kernel's arithmetic; every other bit
+// (signed zeros, infinities, finite values) still has to match.
+bool same_bits_or_both_nan(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::memcmp(a.data() + i, b.data() + i, sizeof(float)) != 0 &&
+        !(std::isnan(a[i]) && std::isnan(b[i])))
+      return false;
+  return true;
+}
+
+// Scatter signed zeros and non-finite values through a tensor: every
+// `every`-th element (from `offset`) takes the next value of `specials`.
+void sprinkle(Tensor& t, const std::vector<float>& specials, std::size_t every,
+              std::size_t offset) {
+  std::size_t s = 0;
+  for (std::size_t i = offset; i < t.size(); i += every, ++s)
+    t[i] = specials[s % specials.size()];
+}
+
+// Channel/group shapes: dense, grouped (groups=2, ocg=2), depthwise, a
+// single-channel conv (also the depthwise path) and a depthwise multiplier
+// (icg=1, ocg=2: the GEMM path). Pointwise is their k=1, s=1, p=0 point.
+struct ChannelShape {
+  int c, oc, groups;
+};
+constexpr ChannelShape kChannelShapes[] = {
+    {3, 4, 1}, {6, 4, 2}, {3, 3, 3}, {1, 1, 1}, {3, 6, 3}};
+// Plane sizes, including ones smaller than the kernel that only padding
+// makes valid.
+constexpr std::pair<int, int> kPlanes[] = {
+    {1, 1}, {2, 3}, {4, 4}, {7, 9}, {17, 10}};
+
+// Every valid geometry over k 1/3/5, stride 1-3, pad 0-2 and kPlanes.
+std::vector<ConvCase> oracle_geometries() {
+  std::vector<ConvCase> out;
+  for (const ChannelShape& cs : kChannelShapes)
+    for (const int k : {1, 3, 5})
+      for (const int stride : {1, 2, 3})
+        for (const int pad : {0, 1, 2})
+          for (const auto& [h, w] : kPlanes)
+            if (h + 2 * pad >= k && w + 2 * pad >= k)
+              out.push_back({2, cs.c, h, w, cs.oc, k, stride, pad, cs.groups});
+  return out;
+}
+
+// How expect_conv_matches_oracle fills inputs and weights:
+//  - kFinite: uniform values, with a bias;
+//  - kSpecials: signed zeros, NaN/inf and tiny values scattered through the
+//    inputs, zero/-0/inf/tiny weights, compared with same_bits_or_both_nan;
+//  - kUnderflow: tiny positive inputs and tiny negative weights, so every
+//    product underflows to -0 and an FMA chain ends on -0 that the GEMM's
+//    final 0 + acc turns into +0.
+// The last two add no bias, so the sign of a zero output stays visible.
+enum class ConvValues { kFinite, kSpecials, kUnderflow };
+
+// Runs conv2d and the oracle for every geometry and backend, serially and
+// under a 4-worker grant, and asserts byte equality.
+void expect_conv_matches_oracle(ConvValues values) {
+  ensure_gemm_pool_helpers(kForcedHelpers);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(4242 + static_cast<int>(values));
+  int checked = 0;
+  for (const ConvCase& g : oracle_geometries()) {
+    Tensor x = random_tensor({g.n, g.c, g.h, g.w}, rng);
+    Tensor w = random_tensor({g.oc, g.icg(), g.k, g.k}, rng);
+    const Tensor bias = random_tensor({g.oc}, rng);
+    if (values == ConvValues::kSpecials) {
+      sprinkle(x, {nan, inf, -0.0f, 1e-30f, -inf, 0.0f}, 7, 3);
+      sprinkle(w, {0.0f, inf, -1e-30f, -0.0f}, 5, 1);
+    } else if (values == ConvValues::kUnderflow) {
+      for (float& v : x.vec()) v = 1e-30f * (1.5f + v);
+      for (float& v : w.vec()) v = -1e-30f * (1.5f + v);
+    }
+    const bool with_bias = values == ConvValues::kFinite;
+    for (const ComputeBackend backend : kAllBackends) {
+      const Tensor expect =
+          im2col_gemm_conv(backend, g, x, w, with_bias ? &bias : nullptr);
+      for (const int workers : {1, 4}) {
+        const GemmParallelScope fan(workers);
+        nn::Tape tape;
+        tape.ctx.backend = backend;
+        nn::Param wp(w), bp(bias);
+        nn::Node* y = nn::conv2d(tape, tape.input(x), wp,
+                                 with_bias ? &bp : nullptr,
+                                 {g.stride, g.pad, g.groups}, "t");
+        EXPECT_TRUE(values == ConvValues::kSpecials
+                        ? same_bits_or_both_nan(y->value, expect)
+                        : same_bytes(y->value, expect))
+            << backend_name(backend) << " workers=" << workers << " "
+            << describe(g);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000);
+}
+
+TEST(BackendConv, EveryDataPathIsBitIdenticalToIm2colGemmSerialAndFanOut) {
+  expect_conv_matches_oracle(ConvValues::kFinite);
+}
+
+TEST(BackendConv, NonFiniteAndSignedZeroValuesMatchIm2colGemmBitForBit) {
+  expect_conv_matches_oracle(ConvValues::kSpecials);
+}
+
+TEST(BackendConv, UnderflowedProductsMatchIm2colGemmBitForBit) {
+  expect_conv_matches_oracle(ConvValues::kUnderflow);
+}
+
+TEST(BackendConv, BackwardGradsBitIdenticalToCol2imGemm) {
+  const std::vector<ConvCase> geoms = {
+      {2, 3, 7, 9, 4, 3, 2, 1, 1},   // dense, strided, padded
+      {2, 6, 5, 5, 4, 3, 1, 2, 2},   // grouped, pad > stride
+      {2, 3, 9, 8, 3, 3, 2, 1, 3},   // depthwise
+      {2, 4, 6, 6, 5, 1, 1, 0, 1},   // pointwise
+      {1, 2, 2, 3, 2, 5, 3, 2, 1},   // plane smaller than the kernel
+  };
+  Rng rng(77);
+  for (const ConvCase& g : geoms) {
+    const Tensor x = random_tensor({g.n, g.c, g.h, g.w}, rng);
+    const Tensor w = random_tensor({g.oc, g.icg(), g.k, g.k}, rng);
+    Tensor gy = random_tensor({g.n, g.oc, g.oh(), g.ow()}, rng);
+    const int oh = g.oh(), ow = g.ow(), rows = g.col_rows();
+    for (const ComputeBackend backend : kAllBackends) {
+      nn::Tape tape;
+      tape.ctx.backend = backend;
+      nn::Param wp(w);
+      nn::Node* in = tape.input(x, /*requires_grad=*/true);
+      nn::Node* y =
+          nn::conv2d(tape, in, wp, nullptr, {g.stride, g.pad, g.groups}, "t");
+      y->grad = gy;
+      y->backprop();
+
+      const BackendScope scope(backend);
+      Tensor gw(w.shape()), gx(x.shape());
+      std::vector<float> gcol(static_cast<std::size_t>(rows) * oh * ow);
+      for (int ni = 0; ni < g.n; ++ni)
+        for (int gi = 0; gi < g.groups; ++gi) {
+          const auto col = naive_im2col(x, ni, gi * g.icg(), g.icg(), g.k,
+                                        g.stride, g.pad, oh, ow);
+          const float* gout = &gy.at4(ni, gi * g.ocg(), 0, 0);
+          const std::size_t wofs = static_cast<std::size_t>(gi) * g.ocg() * rows;
+          gemm_bt_acc(g.ocg(), rows, oh * ow, gout, col.data(),
+                      gw.data() + wofs);
+          gemm_at(rows, oh * ow, g.ocg(), w.data() + wofs, gout, gcol.data());
+          naive_col2im_acc(gcol, ni, gi * g.icg(), g.icg(), g.k, g.stride,
+                           g.pad, oh, ow, gx);
+        }
+      EXPECT_TRUE(same_bytes(wp.grad, gw)) << backend_name(backend) << " "
+                                           << describe(g);
+      EXPECT_TRUE(same_bytes(in->grad, gx)) << backend_name(backend) << " "
+                                            << describe(g);
+    }
+  }
+}
+
+// conv2d geometry validation: each malformed layer throws, naming the layer.
+void expect_conv_rejects(std::vector<int> x_shape, std::vector<int> w_shape,
+                         nn::Conv2dSpec spec) {
+  nn::Tape tape;
+  nn::Param wp{Tensor(std::move(w_shape))};
+  nn::Node* in = tape.input(Tensor(std::move(x_shape)));
+  try {
+    nn::conv2d(tape, in, wp, nullptr, spec, "blk.dw");
+    ADD_FAILURE() << "conv2d accepted stride=" << spec.stride
+                  << " pad=" << spec.pad;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("blk.dw"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BackendConv, RejectsStrideBelowOne) {
+  expect_conv_rejects({1, 2, 6, 6}, {2, 2, 3, 3}, {0, 1, 1});
+  expect_conv_rejects({1, 2, 6, 6}, {2, 2, 3, 3}, {-1, 1, 1});
+}
+
+TEST(BackendConv, RejectsNegativePad) {
+  expect_conv_rejects({1, 2, 6, 6}, {2, 2, 3, 3}, {1, -1, 1});
+}
+
+TEST(BackendConv, RejectsWeightThatIsNotRank4WithASquareKernel) {
+  expect_conv_rejects({1, 2, 6, 6}, {2, 2, 3}, {1, 1, 1});
+  expect_conv_rejects({1, 2, 6, 6}, {2, 2, 3, 2}, {1, 1, 1});
+}
+
+TEST(BackendConv, RejectsKernelLargerThanThePaddedInput) {
+  // (2 + 0 - 3) / 2 + 1 truncates to a phantom 1-row output of zero taps.
+  expect_conv_rejects({1, 2, 2, 8}, {2, 2, 3, 3}, {2, 0, 1});
+  expect_conv_rejects({1, 2, 8, 2}, {2, 1, 3, 3}, {1, 0, 2});
+  // Padding that just fits is valid: a 1x1 plane, k=3, pad 1.
+  nn::Tape tape;
+  nn::Param wp{Tensor({2, 2, 3, 3})};
+  nn::Node* y = nn::conv2d(tape, tape.input(Tensor({1, 2, 1, 1})), wp, nullptr,
+                           {1, 1, 1}, "t");
+  EXPECT_EQ(y->value.shape(), (std::vector<int>{1, 2, 1, 1}));
 }
 
 // ---------------------------------------------------------------------------
