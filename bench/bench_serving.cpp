@@ -4,33 +4,34 @@
 // machine-readable BENCH_serving.json the CI perf-gate asserts invariants
 // on.
 //
-// The grid runs on the virtual clock (serve/server.h: replay_virtual) with
-// a fixed canonical cost model per backend, so every latency quantile,
-// throughput and shed count in the "grid", "accuracy" and "sizing" sections
-// is bit-exact across runs and machines — the gate can assert equalities,
-// not tolerances. Real time shows up in two clearly separated places: the
-// "calibration" section (measured per-batch forward cost per config, so the
-// canonical constants can be sanity-checked against this machine) and the
-// "wall_clock" section (a few cells replayed against the real
-// InferenceServer with sleeps and threads; noisy by nature, only accounting
-// identities are assertable there).
+// Every cell runs on the real InferenceServer (serve/server.h:
+// replay_wall_clock): real worker threads, real sleeps, real forwards on
+// this host. Latency quantiles, throughput and shed counts are therefore
+// measurements and move from run to run; the accounting identities and the
+// served accuracy (by per-sample batch independence) are exact. Each cell
+// also reports gen_late_p99_ms, how late the open-loop generator submitted
+// its requests, so a cell that was offered less than its nominal rate is
+// visible.
 //
-// Offered rates are derived per cell from the cap-1 service capacity of the
-// cost model (factors 0.5 / 1.0 / 2.0), so "overloaded" means overloaded on
-// every machine; the factor-2.0 cells are where the gate checks that
-// micro-batching beats cap-1 throughput at the same offered load.
+// Offered rates are derived per config from a measured cap-1 capacity (the
+// "calibration" section: a saturating burst through a 1-worker, cap-1,
+// unbounded-queue server, served / wall time), scaled by the worker count
+// and factors 0.5 / 1.0 / 2.0; the factor-2.0 cells are where the gate
+// checks that micro-batching beats cap-1 throughput at the same offered
+// load. Sizing applies the SLO rule (p99 <= --slo-ms, zero shed) to the
+// measured cells.
 //
-// Flags: --slo-ms X (sizing SLO, default 50), --skip-wall-clock,
-// --trace DIR (span trace + metrics snapshot; SYSNOISE_TRACE=DIR works too).
+// Flags: --slo-ms X (sizing SLO, default 50), --trace DIR (span trace +
+// metrics snapshot; SYSNOISE_TRACE=DIR works too).
 // Env: SYSNOISE_SERVING_JSON overrides the output path (default
 // $SYSNOISE_RESULTS_DIR/BENCH_serving.json); SYSNOISE_FAST=1 trims the grid.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,19 +74,6 @@ std::vector<NamedConfig> deployment_configs() {
   return configs;
 }
 
-// The canonical virtual cost model: fixed per backend, NOT measured, so the
-// simulated sections of BENCH_serving.json are machine-independent. The
-// calibration section reports how far this machine's real forwards sit from
-// these constants.
-serve::VirtualCost canonical_cost(ComputeBackend b) {
-  switch (b) {
-    case ComputeBackend::kReference: return {4.0, 2.0};
-    case ComputeBackend::kBlocked: return {2.0, 0.8};
-    case ComputeBackend::kSimd: return {1.5, 0.5};
-  }
-  return {4.0, 2.0};
-}
-
 // A trace covering every sample exactly `repeats` times (round-robin), the
 // layout under which served accuracy must equal the offline metric.
 std::vector<serve::TraceRequest> coverage_trace(int n, int repeats,
@@ -125,34 +113,66 @@ util::Json cell_json(const std::string& config, int workers, int max_batch,
   j.set("mean_ms", r.stats.latency.mean_ms());
   j.set("duration_ms", r.duration_ms);
   j.set("throughput_rps", r.throughput_rps);
+  j.set("gen_late_p99_ms", r.gen_late.quantile_bound(0.99));
   j.set("served_accuracy", r.stats.served_accuracy());
   return j;
 }
 
-double wall_ms(const std::function<void()>& fn) {
+// The cap-1 capacity of one worker, measured on the server itself: every
+// request of a saturating burst goes into a 1-worker, cap-1,
+// unbounded-queue InferenceServer at once; capacity = served / wall time.
+util::Json measure_capacity(const NamedConfig& nc,
+                            const serve::ServingModel& model, int requests) {
+  serve::ServerOptions so;
+  so.workers = 1;
+  so.max_batch = 1;
+  so.queue_capacity = 0;
+  serve::InferenceServer server(model, so);
   const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
+  for (int i = 0; i < requests; ++i)
+    server.submit(i, i % model.num_samples());
+  server.drain();
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  const std::size_t served = server.stats().served;
+  util::Json j = util::Json::object();
+  j.set("config", nc.name);
+  j.set("backend", backend_name(nc.cfg.backend));
+  j.set("burst_requests", requests);
+  j.set("burst_served", served);
+  j.set("burst_wall_ms", wall_ms);
+  j.set("cap1_worker_rps", 1000.0 * static_cast<double>(served) / wall_ms);
+  return j;
+}
+
+// --slo-ms in the all-digit style: digits with at most one '.', no sign,
+// exponent, "nan" or "inf"; finite and > 0.
+bool parse_slo_ms(const char* s, double* out) {
+  int digits = 0, dots = 0;
+  for (const char* p = s; *p != '\0'; ++p) {
+    if (*p >= '0' && *p <= '9')
+      ++digits;
+    else if (*p != '.' || ++dots > 1)
+      return false;
+  }
+  *out = std::strtod(s, nullptr);
+  return digits > 0 && *out > 0.0 && std::isfinite(*out);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   double slo_ms = 50.0;
-  bool wall_clock_cells = true;
   std::string trace_dir;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--slo-ms") == 0 && i + 1 < argc) {
-      slo_ms = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--skip-wall-clock") == 0) {
-      wall_clock_cells = false;
+    if (std::strcmp(argv[i], "--slo-ms") == 0 && i + 1 < argc &&
+        parse_slo_ms(argv[i + 1], &slo_ms)) {
+      ++i;
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_dir = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--slo-ms X] [--skip-wall-clock] [--trace DIR]\n",
+      std::fprintf(stderr, "usage: %s [--slo-ms X (> 0)] [--trace DIR]\n",
                    argv[0]);
       return 2;
     }
@@ -192,63 +212,30 @@ int main(int argc, char** argv) {
   root.set("slo_ms", slo_ms);
   root.set("trace_duration_ms", duration_ms);
 
-  util::Json jcost = util::Json::object();
-  for (int bi = 0; bi < kNumComputeBackends; ++bi) {
-    const serve::VirtualCost c =
-        canonical_cost(static_cast<ComputeBackend>(bi));
-    util::Json jc = util::Json::object();
-    jc.set("batch_base_ms", c.batch_base_ms);
-    jc.set("batch_item_ms", c.batch_item_ms);
-    jcost.set(backend_name(static_cast<ComputeBackend>(bi)), std::move(jc));
-  }
-  root.set("virtual_cost_model", std::move(jcost));
-
   util::Json jgrid = util::Json::array();
   util::Json jaccuracy = util::Json::array();
   util::Json jcalibration = util::Json::array();
-  util::Json jwall = util::Json::array();
   util::Json jsizing = util::Json::array();
 
   const std::vector<NamedConfig> configs = deployment_configs();
   for (std::size_t ci = 0; ci < configs.size(); ++ci) {
     const NamedConfig& nc = configs[ci];
-    // Structural seeds (config x workers x rate), not a running counter:
-    // flags like --skip-wall-clock must not shift which trace a grid cell
-    // replays, or the deterministic sections would stop being comparable.
+    // Structural seeds (config x workers x rate), not a running counter, so
+    // a cell replays the same trace whatever else the grid holds.
     const std::uint64_t config_seed = 1000 + 1000 * ci;
     std::printf("[serving] preprocessing %d samples under %s...\n", n,
                 nc.name.c_str());
     std::fflush(stdout);
     const serve::ClassifierServingModel model(tc, eval, spec, nc.cfg);
-    const serve::VirtualCost cost = canonical_cost(nc.cfg.backend);
-    const double cap1_worker_rps =
-        1000.0 / (cost.batch_base_ms + cost.batch_item_ms);
 
-    // --- calibration: this machine's real per-batch forward cost ----------
-    {
-      std::vector<int> one(1, 0);
-      std::vector<int> sixteen;
-      for (int i = 0; i < 16; ++i) sixteen.push_back(i % n);
-      model.predict(one);  // warm caches before timing
-      double b1 = 1e300, b16 = 1e300;
-      for (int rep = 0; rep < 3; ++rep) {
-        b1 = std::min(b1, wall_ms([&] { model.predict(one); }));
-        b16 = std::min(b16, wall_ms([&] { model.predict(sixteen); }));
-      }
-      const double item = std::max(0.0, (b16 - b1) / 15.0);
-      util::Json jc = util::Json::object();
-      jc.set("config", nc.name);
-      jc.set("backend", backend_name(nc.cfg.backend));
-      jc.set("measured_batch1_ms", b1);
-      jc.set("measured_batch16_ms", b16);
-      jc.set("fitted_base_ms", std::max(0.0, b1 - item));
-      jc.set("fitted_item_ms", item);
-      jc.set("canonical_base_ms", cost.batch_base_ms);
-      jc.set("canonical_item_ms", cost.batch_item_ms);
-      jcalibration.push_back(std::move(jc));
-    }
+    // --- calibration: the measured cap-1 capacity the rates scale --------
+    // 20 passes over the eval set: long enough (~0.1 s on a 4-thread AVX2
+    // host) that a scheduling hiccup does not set every rate below.
+    util::Json jc = measure_capacity(nc, model, 20 * n);
+    const double cap1_worker_rps = jc.at("cap1_worker_rps").as_number();
+    jcalibration.push_back(std::move(jc));
 
-    // --- virtual grid ------------------------------------------------------
+    // --- grid: one real-server replay per cell ----------------------------
     struct Cell {
       int workers, cap;
       double factor, rate, p99, throughput;
@@ -268,11 +255,8 @@ int main(int argc, char** argv) {
           opts.server.max_batch = cap;
           opts.server.max_delay_ms = 2.0;
           opts.server.queue_capacity = 64;
-          opts.cost = cost;
-          opts.compute_threads =
-              static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
           const serve::ReplayReport r =
-              serve::replay_virtual(model, trace, opts);
+              serve::replay_wall_clock(model, trace, opts);
           jgrid.push_back(cell_json(nc.name, workers, cap, rate, factor, r));
           cells.push_back({workers, cap, factor, rate,
                            r.stats.latency.quantile_bound(0.99),
@@ -322,11 +306,8 @@ int main(int argc, char** argv) {
       opts.server.max_batch = 16;
       opts.server.max_delay_ms = 1.0;
       opts.server.queue_capacity = 0;  // coverage must not shed
-      opts.cost = cost;
-      opts.compute_threads =
-          static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
       const serve::ReplayReport r =
-          serve::replay_virtual(model, coverage_trace(n, 1, 0.5), opts);
+          serve::replay_wall_clock(model, coverage_trace(n, 1, 0.5), opts);
       const double served = r.stats.served_accuracy();
       util::Json ja = util::Json::object();
       ja.set("config", nc.name);
@@ -343,23 +324,6 @@ int main(int argc, char** argv) {
                   served == offline ? "bit-identical" : "DRIFT");
     }
 
-    // --- a wall-clock cell: the real server, real sleeps, real threads -----
-    if (wall_clock_cells) {
-      serve::ReplayOptions opts;
-      opts.server.workers = 2;
-      opts.server.max_batch = 8;
-      opts.server.max_delay_ms = 2.0;
-      opts.server.queue_capacity = 64;
-      opts.server.gemm_workers = 1;
-      const double rate = 0.8 * 2 * cap1_worker_rps;
-      const auto trace = serve::generate_trace(serve::poisson_spec(
-          config_seed + 999, fast ? 100.0 : 250.0, rate, n));
-      const serve::ReplayReport r =
-          serve::replay_wall_clock(model, trace, opts);
-      util::Json jw = cell_json(nc.name, 2, 8, rate, 0.8, r);
-      jw.set("mode", "wall_clock");
-      jwall.push_back(std::move(jw));
-    }
     std::fflush(stdout);
   }
 
@@ -367,7 +331,6 @@ int main(int argc, char** argv) {
   root.set("sizing", std::move(jsizing));
   root.set("accuracy", std::move(jaccuracy));
   root.set("calibration", std::move(jcalibration));
-  root.set("wall_clock", std::move(jwall));
 
   const char* override_path = std::getenv("SYSNOISE_SERVING_JSON");
   const std::string path = override_path != nullptr

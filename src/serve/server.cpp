@@ -1,14 +1,18 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <deque>
-#include <limits>
 #include <mutex>
-#include <queue>
+#include <stdexcept>
+#include <string>
 #include <thread>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "obs/trace.h"
 #include "tensor/backend.h"
@@ -28,11 +32,35 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-ServerOptions sanitized(ServerOptions o) {
-  o.workers = std::max(1, o.workers);
-  o.max_batch = std::max(1, o.max_batch);
-  o.max_delay_ms = std::max(0.0, o.max_delay_ms);
+const ServerOptions& validated(const ServerOptions& o) {
+  if (o.workers < 1)
+    throw std::invalid_argument("server needs workers >= 1, got " +
+                                std::to_string(o.workers));
+  if (o.max_batch < 1)
+    throw std::invalid_argument("server needs max_batch >= 1, got " +
+                                std::to_string(o.max_batch));
+  if (!std::isfinite(o.max_delay_ms) || o.max_delay_ms < 0.0)
+    throw std::invalid_argument(
+        "server needs a finite max_delay_ms >= 0, got " +
+        std::to_string(o.max_delay_ms));
   return o;
+}
+
+// Keep the forwards' heap resident. glibc returns a heap's top to the OS
+// once more than M_TRIM_THRESHOLD (128 KiB) is free there; a forward of 4+
+// MCUNet requests frees more than that, so each batch re-faulted its
+// activations and cost ~2x per request what a batch of 1 did. Setting the
+// trim threshold freezes the mmap threshold, so that is raised to its usual
+// dynamic ceiling too. Process-wide, set once.
+void keep_heap_resident() {
+#ifdef __GLIBC__
+  static const bool once = [] {
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+    return true;
+  }();
+  (void)once;
+#endif
 }
 
 }  // namespace
@@ -74,7 +102,8 @@ struct InferenceServer::Impl {
   std::vector<std::thread> threads;
 
   Impl(const ServingModel& m, const ServerOptions& o)
-      : model(m), opts(sanitized(o)) {
+      : model(m), opts(validated(o)) {
+    keep_heap_resident();
     threads.reserve(static_cast<std::size_t>(opts.workers));
     for (int w = 0; w < opts.workers; ++w)
       threads.emplace_back([this] { worker_loop(); });
@@ -201,171 +230,35 @@ util::Json ReplayReport::to_json() const {
   j.set("duration_ms", duration_ms);
   j.set("offered_rps", offered_rps);
   j.set("throughput_rps", throughput_rps);
+  j.set("gen_late", gen_late.to_json());
   j.set("stats", stats.to_json());
   return j;
-}
-
-namespace {
-
-struct SimRequest {
-  int id;
-  int sample;
-  double arrival;
-};
-
-struct SimBatch {
-  double launch = 0.0;
-  double finish = 0.0;
-  std::vector<SimRequest> members;
-};
-
-struct SimWorker {
-  double free_at;
-  int index;
-};
-
-// Min-heap on (free_at, index): earliest-free worker first, lowest index on
-// ties, so the simulation is order-deterministic.
-struct WorkerAfter {
-  bool operator()(const SimWorker& a, const SimWorker& b) const {
-    if (a.free_at != b.free_at) return a.free_at > b.free_at;
-    return a.index > b.index;
-  }
-};
-
-}  // namespace
-
-ReplayReport replay_virtual(const ServingModel& model,
-                            const std::vector<TraceRequest>& trace,
-                            const ReplayOptions& opts) {
-  const ServerOptions so = sanitized(opts.server);
-  ReplayReport report;
-  report.requests = trace.size();
-
-  // Phase 1: decide every batch (composition, launch, finish) and every
-  // shed with the server's policy on the virtual clock. Nothing here
-  // touches the model or a real thread, so the decisions are a pure
-  // function of (trace, options).
-  std::priority_queue<SimWorker, std::vector<SimWorker>, WorkerAfter> workers;
-  for (int w = 0; w < so.workers; ++w) workers.push(SimWorker{0.0, w});
-  std::deque<SimRequest> pending;
-  std::vector<SimBatch> batches;
-  std::size_t next = 0;
-  const double inf = std::numeric_limits<double>::infinity();
-  while (next < trace.size() || !pending.empty()) {
-    const double next_arrival =
-        next < trace.size() ? trace[next].arrival_ms : inf;
-    double launch = inf;
-    std::size_t k = 0;
-    if (!pending.empty()) {
-      k = std::min<std::size_t>(pending.size(),
-                                static_cast<std::size_t>(so.max_batch));
-      // A full batch launches as soon as a worker frees (but never before
-      // its youngest member arrived); a partial batch additionally waits
-      // for the oldest member's batching deadline.
-      const double trigger =
-          k == static_cast<std::size_t>(so.max_batch)
-              ? pending[k - 1].arrival
-              : pending.front().arrival + so.max_delay_ms;
-      launch = std::max(workers.top().free_at, trigger);
-    }
-    if (launch < next_arrival) {
-      SimWorker w = workers.top();
-      workers.pop();
-      SimBatch b;
-      b.launch = launch;
-      b.finish = launch + opts.cost.batch_base_ms +
-                 opts.cost.batch_item_ms * static_cast<double>(k);
-      b.members.assign(pending.begin(),
-                       pending.begin() + static_cast<long>(k));
-      pending.erase(pending.begin(), pending.begin() + static_cast<long>(k));
-      w.free_at = b.finish;
-      workers.push(w);
-      report.stats.batches++;
-      report.stats.batch_occupancy.add(static_cast<double>(k));
-      batches.push_back(std::move(b));
-    } else {
-      // Admit (or shed) the next arrival; on a launch/arrival tie the
-      // arrival wins, mirroring a submit that lands just before the
-      // worker's queue grab.
-      report.stats.submitted++;
-      report.stats.queue_depth.add(static_cast<double>(pending.size()));
-      if (so.queue_capacity > 0 && pending.size() >= so.queue_capacity) {
-        report.stats.shed++;
-      } else {
-        pending.push_back(SimRequest{trace[next].id, trace[next].sample,
-                                     trace[next].arrival_ms});
-      }
-      ++next;
-    }
-  }
-
-  // Phase 2: run the decided batches through the real model. Thread count
-  // affects wall time only — compositions and result slots are fixed.
-  std::vector<std::vector<int>> preds(batches.size());
-  const int threads = std::max(1, opts.compute_threads);
-  std::atomic<std::size_t> cursor{0};
-  const auto run = [&] {
-    while (true) {
-      const std::size_t b = cursor.fetch_add(1);
-      if (b >= batches.size()) return;
-      std::vector<int> samples;
-      samples.reserve(batches[b].members.size());
-      for (const SimRequest& r : batches[b].members)
-        samples.push_back(r.sample);
-      preds[b] = model.predict(samples);
-    }
-  };
-  if (threads == 1 || batches.size() <= 1) {
-    run();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(run);
-    for (std::thread& t : pool) t.join();
-  }
-
-  // Assemble in batch order: identical accounting regardless of which real
-  // thread executed which batch.
-  double last_finish = 0.0;
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    const SimBatch& batch = batches[b];
-    last_finish = std::max(last_finish, batch.finish);
-    for (std::size_t i = 0; i < batch.members.size(); ++i) {
-      report.stats.served++;
-      if (model.correct(batch.members[i].sample, preds[b][i]))
-        report.stats.correct++;
-      report.stats.latency.record(batch.finish - batch.members[i].arrival);
-    }
-  }
-  const double last_arrival = trace.empty() ? 0.0 : trace.back().arrival_ms;
-  report.duration_ms = std::max(last_finish, last_arrival);
-  report.offered_rps =
-      last_arrival > 0.0
-          ? 1000.0 * static_cast<double>(trace.size()) / last_arrival
-          : 0.0;
-  report.throughput_rps =
-      report.duration_ms > 0.0
-          ? 1000.0 * static_cast<double>(report.stats.served) /
-                report.duration_ms
-          : 0.0;
-  return report;
 }
 
 ReplayReport replay_wall_clock(const ServingModel& model,
                                const std::vector<TraceRequest>& trace,
                                const ReplayOptions& opts) {
+  // A bad sample would otherwise throw inside a worker thread, which
+  // terminates the process.
+  for (const TraceRequest& r : trace)
+    if (r.sample < 0 || r.sample >= model.num_samples())
+      throw std::invalid_argument(
+          "trace request " + std::to_string(r.id) + " asks for sample " +
+          std::to_string(r.sample) + ", but " + model.name() + " has " +
+          std::to_string(model.num_samples()));
+  ReplayReport report;
   InferenceServer server(model, opts.server);
   const Clock::time_point start = Clock::now();
   for (const TraceRequest& r : trace) {
-    std::this_thread::sleep_until(
-        start + ms_duration(r.arrival_ms * opts.time_scale));
+    const Clock::time_point due =
+        start + ms_duration(r.arrival_ms * opts.time_scale);
+    std::this_thread::sleep_until(due);
+    report.gen_late.record(ms_between(due, Clock::now()));
     server.submit(r.id, r.sample);
   }
   server.drain();
   const double wall_ms = ms_between(start, Clock::now());
 
-  ReplayReport report;
   report.requests = trace.size();
   report.stats = server.stats();
   report.duration_ms = wall_ms;

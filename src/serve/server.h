@@ -1,31 +1,26 @@
 // The serving runtime: a dynamic-micro-batching inference server plus the
-// trace replayers that drive it.
+// trace replayer that drives it.
 //
-// InferenceServer is the wall-clock server: submit() admits a request into
-// a bounded queue (or sheds it, with accounting, when the queue is full —
-// the explicit overload policy), and N worker threads form micro-batches
-// with the classic size-or-deadline rule: a free worker launches a batch
-// when the queue holds max_batch requests OR the oldest admitted request
-// has waited max_delay_ms, taking min(max_batch, queue) requests. Batches
-// go through ServingModel::predict (for the classifier model: stack_parts
-// + one forward pass under the config's ComputeBackend, optionally fanned
-// out via GemmParallelScope). drain() is the graceful shutdown: no new
-// admissions, every queued request still served, workers joined.
+// InferenceServer is the one serving implementation: submit() admits a
+// request into a bounded queue (or sheds it, with accounting, when the
+// queue is full — the explicit overload policy), and N worker threads form
+// micro-batches with the classic size-or-deadline rule: a free worker
+// launches a batch when the queue holds max_batch requests OR the oldest
+// admitted request has waited max_delay_ms, taking min(max_batch, queue)
+// requests. Batches go through ServingModel::predict (for the classifier
+// model: stack_parts + one forward pass under the config's ComputeBackend,
+// optionally fanned out via GemmParallelScope). drain() is the graceful
+// shutdown: no new admissions, every queued request still served, workers
+// joined.
 //
-// replay_wall_clock() replays a trace against a real InferenceServer,
-// sleeping to each arrival. Its numbers are real and therefore noisy —
-// that is the point of the wall-clock mode.
-//
-// replay_virtual() replays the same trace on a virtual clock: a
-// discrete-event simulation applies the identical admission/shed/batching
-// policy with a deterministic cost model (a batch of size b occupies a
-// simulated worker for batch_base_ms + b * batch_item_ms), decides every
-// batch's composition and timeline first, and only then executes the
-// decided batches through the real model to obtain predictions. Because
-// batch composition is fixed before any real thread runs, the report is
-// bit-exact for a given (trace, options) — across repeats AND across
-// compute_threads counts — which is what makes the serving test suite and
-// the CI gate timing-independent.
+// replay_wall_clock() replays a trace against a real InferenceServer as an
+// open loop, sleeping to each arrival on the steady clock. Every number it
+// reports comes from real threads on the host, so latencies and throughput
+// are measurements (noisy by nature); the accounting identities and the
+// served accuracy (by per-sample batch independence) are exact. The report
+// also records how late the generator submitted each request, so a replay
+// whose generator could not keep up is visible rather than silently
+// under-loaded.
 #pragma once
 
 #include <cstddef>
@@ -39,14 +34,14 @@
 namespace sysnoise::serve {
 
 struct ServerOptions {
-  int workers = 1;           // worker threads (virtual: simulated workers)
-  int max_batch = 8;         // micro-batch cap (1 disables batching)
-  double max_delay_ms = 2.0;  // batching deadline for a non-full batch
+  int workers = 1;            // worker threads, >= 1
+  int max_batch = 8;          // micro-batch cap, >= 1 (1 disables batching)
+  double max_delay_ms = 2.0;  // batching deadline for a non-full batch, >= 0
   // Admission-queue bound; an arrival finding the queue at capacity is shed
   // (counted, never served). 0 = unbounded.
   std::size_t queue_capacity = 256;
-  // GemmParallelScope each wall-clock worker opens around its forwards
-  // (<= 1: serial kernels).
+  // GemmParallelScope each worker opens around its forwards
+  // (1: serial kernels; <= 0: one per hardware thread).
   int gemm_workers = 1;
 };
 
@@ -71,6 +66,8 @@ struct ServingStats {
 
 class InferenceServer {
  public:
+  // Throws std::invalid_argument for workers < 1, max_batch < 1, or a
+  // negative or non-finite max_delay_ms.
   InferenceServer(const ServingModel& model, const ServerOptions& opts);
   ~InferenceServer();  // drains
   InferenceServer(const InferenceServer&) = delete;
@@ -92,16 +89,9 @@ class InferenceServer {
   Impl* impl_;
 };
 
-struct VirtualCost {
-  double batch_base_ms = 1.0;   // fixed per forward invocation
-  double batch_item_ms = 0.25;  // per request stacked into it
-};
-
 struct ReplayOptions {
   ServerOptions server;
-  VirtualCost cost;         // virtual mode only
-  int compute_threads = 1;  // virtual mode: real threads executing batches
-  double time_scale = 1.0;  // wall-clock mode: trace timeline multiplier
+  double time_scale = 1.0;  // trace timeline multiplier
 };
 
 struct ReplayReport {
@@ -110,17 +100,18 @@ struct ReplayReport {
   double duration_ms = 0.0;     // trace start -> last batch completion
   double offered_rps = 0.0;     // requests over the arrival span
   double throughput_rps = 0.0;  // served over duration_ms
+  // Per request: when the generator submitted it minus when the (scaled)
+  // trace said it was due. A large tail means the offered load was not
+  // what the trace asked for.
+  obs::LatencyHistogram gen_late;
 
   util::Json to_json() const;
 };
 
-// Deterministic virtual-clock replay (see file comment).
-ReplayReport replay_virtual(const ServingModel& model,
-                            const std::vector<TraceRequest>& trace,
-                            const ReplayOptions& opts);
-
 // Wall-clock replay against a real InferenceServer; arrivals are slept to
 // on the steady clock (opts.time_scale compresses or stretches the trace).
+// Throws std::invalid_argument, before any request is submitted, when a
+// request names a sample outside [0, model.num_samples()).
 ReplayReport replay_wall_clock(const ServingModel& model,
                                const std::vector<TraceRequest>& trace,
                                const ReplayOptions& opts);

@@ -17,9 +17,8 @@
 // every sample is materialized once at construction — the serving
 // equivalent of a warm disk StageCache — and each micro-batch stacks the
 // requested samples' tensors through one forward pass under the config's
-// backend); SyntheticServingModel is the model-free stand-in for engine
-// tests and simulations, deterministic from its seed with a tunable
-// per-batch cost.
+// backend); SyntheticServingModel is the model-free stand-in for server
+// tests, deterministic from its seed with a tunable per-batch cost.
 #pragma once
 
 #include <cstdint>

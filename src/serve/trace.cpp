@@ -1,7 +1,9 @@
 #include "serve/trace.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/rng.h"
 
@@ -23,6 +25,29 @@ PhaseKind phase_kind_from_name(const std::string& name) {
   throw std::invalid_argument("unknown trace phase kind \"" + name + "\"");
 }
 
+namespace {
+
+// Trace and spec files are outside input: every number that would
+// otherwise reach a worker thread or the generator's arithmetic is checked
+// here, and a bad one fails loudly with the field's name.
+double non_negative(const util::Json& j, const std::string& what) {
+  const double v = j.as_number();
+  if (!std::isfinite(v) || v < 0.0)
+    throw std::invalid_argument(what + " must be a finite number >= 0, got " +
+                                std::to_string(v));
+  return v;
+}
+
+int non_negative_int(const util::Json& j, const std::string& what) {
+  const double v = non_negative(j, what);
+  if (v != std::floor(v) || v > std::numeric_limits<int>::max())
+    throw std::invalid_argument(what + " must be an int >= 0, got " +
+                                std::to_string(v));
+  return static_cast<int>(v);
+}
+
+}  // namespace
+
 util::Json TracePhase::to_json() const {
   util::Json j = util::Json::object();
   j.set("kind", phase_kind_name(kind));
@@ -39,12 +64,16 @@ util::Json TracePhase::to_json() const {
 TracePhase TracePhase::from_json(const util::Json& j) {
   TracePhase p;
   p.kind = phase_kind_from_name(j.at("kind").as_string());
-  p.duration_ms = j.at("duration_ms").as_number();
-  p.rate_rps = j.at("rate_rps").as_number();
-  if (const util::Json* v = j.get("end_rate_rps")) p.end_rate_rps = v->as_number();
+  p.duration_ms = non_negative(j.at("duration_ms"), "phase duration_ms");
+  p.rate_rps = non_negative(j.at("rate_rps"), "phase rate_rps");
+  if (const util::Json* v = j.get("end_rate_rps"))
+    p.end_rate_rps = non_negative(*v, "phase end_rate_rps");
   if (const util::Json* v = j.get("burst_every_ms"))
-    p.burst_every_ms = v->as_number();
-  if (const util::Json* v = j.get("burst_size")) p.burst_size = v->as_int();
+    p.burst_every_ms = non_negative(*v, "phase burst_every_ms");
+  if (const util::Json* v = j.get("burst_size"))
+    p.burst_size = non_negative_int(*v, "phase burst_size");
+  if (p.kind == PhaseKind::kBurst && p.burst_every_ms <= 0.0)
+    throw std::invalid_argument("burst phase needs burst_every_ms > 0");
   return p;
 }
 
@@ -72,8 +101,13 @@ util::Json TraceSpec::to_json() const {
 
 TraceSpec TraceSpec::from_json(const util::Json& j) {
   TraceSpec s;
-  s.seed = static_cast<std::uint64_t>(j.at("seed").as_number());
-  s.num_samples = j.at("num_samples").as_int();
+  const double seed = non_negative(j.at("seed"), "trace seed");
+  if (seed != std::floor(seed) || seed > static_cast<double>(1ull << 53))
+    throw std::invalid_argument("trace seed must be an integer in [0, 2^53]");
+  s.seed = static_cast<std::uint64_t>(seed);
+  s.num_samples = non_negative_int(j.at("num_samples"), "trace num_samples");
+  if (s.num_samples < 1)
+    throw std::invalid_argument("trace num_samples must be >= 1");
   if (const util::Json* v = j.get("random_samples"))
     s.random_samples = v->as_bool();
   for (std::size_t i = 0; i < j.at("phases").size(); ++i)
@@ -197,10 +231,13 @@ std::vector<TraceRequest> trace_from_json(const util::Json& j) {
   trace.reserve(arr.size());
   for (std::size_t i = 0; i < arr.size(); ++i) {
     const util::Json& jr = arr.at(i);
+    const std::string where = "trace request " + std::to_string(i);
     TraceRequest r;
-    r.id = jr.at("id").as_int();
-    r.arrival_ms = jr.at("arrival_ms").as_number();
-    r.sample = jr.at("sample").as_int();
+    r.id = non_negative_int(jr.at("id"), where + " id");
+    r.arrival_ms = non_negative(jr.at("arrival_ms"), where + " arrival_ms");
+    r.sample = non_negative_int(jr.at("sample"), where + " sample");
+    if (!trace.empty() && r.arrival_ms < trace.back().arrival_ms)
+      throw std::invalid_argument(where + " arrives before its predecessor");
     trace.push_back(r);
   }
   return trace;

@@ -46,6 +46,8 @@ struct TracePhase {
   int burst_size = 10;            // kBurst arrivals per tick
 
   util::Json to_json() const;
+  // Throws std::invalid_argument on a non-finite or negative duration,
+  // rate or burst size, and on a burst phase with burst_every_ms <= 0.
   static TracePhase from_json(const util::Json& j);
 };
 
@@ -64,6 +66,8 @@ struct TraceSpec {
   double duration_ms() const;
 
   util::Json to_json() const;
+  // Throws std::invalid_argument on a bad phase, num_samples < 1, or a
+  // seed that is not an integer in [0, 2^53].
   static TraceSpec from_json(const util::Json& j);
 };
 
@@ -74,6 +78,8 @@ std::vector<TraceRequest> generate_trace(const TraceSpec& spec);
 // Concrete-trace JSON round trip (for replaying a trace that was generated
 // elsewhere or hand-edited; floats keep round-trip precision).
 util::Json trace_to_json(const std::vector<TraceRequest>& trace);
+// Throws std::invalid_argument on a negative id or sample, a non-finite or
+// negative arrival_ms, or an arrival earlier than the one before it.
 std::vector<TraceRequest> trace_from_json(const util::Json& j);
 
 // Convenience: a single-phase Poisson spec, the common case.

@@ -1,12 +1,11 @@
 // The serving subsystem (src/serve/): histogram quantiles exact against a
 // reference computation and merge-stable (merged == single-histogram, bit
 // for bit), trace generation byte-identical per seed with JSON round trips,
-// virtual-clock replay bit-exact across compute-thread counts and repeats,
-// shed/served accounting identities, deterministic micro-batching and
-// overload shedding on the real server (gated model, no timing asserts),
-// graceful drain, and the headline contract: served accuracy over a
-// coverage trace equals the offline sweep metric bit-exactly per
-// deployment config.
+// malformed traces, specs and server options rejected loudly, shed/served
+// accounting identities, deterministic micro-batching and overload
+// shedding on the real server (gated model, no timing asserts), graceful
+// drain, and the headline contract: served accuracy over a coverage trace
+// equals the offline sweep metric bit-exactly per deployment config.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +14,12 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstddef>
+#include <limits>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/noise_config.h"
@@ -206,61 +208,90 @@ TEST(ServeTrace, UnknownPhaseKindFailsLoudly) {
   EXPECT_THROW(phase_kind_from_name("sawtooth"), std::invalid_argument);
 }
 
-// ---------------------------------------------------------------------------
-// virtual-clock replay
-
-TEST(ServeVirtualReplay, BitExactAcrossComputeThreadsAndRepeats) {
-  const SyntheticServingModel model(50);
-  // Overloaded on purpose so batching, queueing AND shedding all engage:
-  // two workers at base 2ms + 0.5ms/item sustain ~2.7k rps of full batches,
-  // offered 6k rps.
-  const auto trace = generate_trace(poisson_spec(7, 250.0, 6000.0, 50));
-  ReplayOptions opts;
-  opts.server.workers = 2;
-  opts.server.max_batch = 8;
-  opts.server.max_delay_ms = 2.0;
-  opts.server.queue_capacity = 16;
-  opts.cost.batch_base_ms = 2.0;
-  opts.cost.batch_item_ms = 0.5;
-
-  std::vector<std::string> dumps;
-  for (const int threads : {1, 2, 5, 8, 1}) {
-    opts.compute_threads = threads;
-    dumps.push_back(replay_virtual(model, trace, opts).to_json().dump());
+// A hand-written trace file: one request per (arrival_ms, sample) pair.
+util::Json trace_file(const std::vector<std::pair<double, double>>& reqs) {
+  util::Json arr = util::Json::array();
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    util::Json r = util::Json::object();
+    r.set("id", i);
+    r.set("arrival_ms", reqs[i].first);
+    r.set("sample", reqs[i].second);
+    arr.push_back(std::move(r));
   }
-  for (std::size_t i = 1; i < dumps.size(); ++i) EXPECT_EQ(dumps[i], dumps[0]);
-
-  opts.compute_threads = 1;
-  const ReplayReport r = replay_virtual(model, trace, opts);
-  // Non-vacuous: the cell really sheds and really serves.
-  EXPECT_GT(r.stats.shed, 0u);
-  EXPECT_GT(r.stats.served, 0u);
+  util::Json j = util::Json::object();
+  j.set("trace", std::move(arr));
+  return j;
 }
 
-TEST(ServeVirtualReplay, AccountingIdentities) {
-  const SyntheticServingModel model(20);
-  const auto trace = generate_trace(poisson_spec(3, 300.0, 1500.0, 20));
-  ReplayOptions opts;
-  opts.server.workers = 1;
-  opts.server.max_batch = 4;
-  opts.server.queue_capacity = 8;
-  opts.cost.batch_base_ms = 2.0;
-  opts.cost.batch_item_ms = 0.5;
-  const ReplayReport r = replay_virtual(model, trace, opts);
+TEST(ServeTrace, TraceJsonRejectsNegativeSample) {
+  EXPECT_NO_THROW(trace_from_json(trace_file({{0.0, 0.0}, {1.0, 3.0}})));
+  EXPECT_THROW(trace_from_json(trace_file({{0.0, 0.0}, {1.0, -1.0}})),
+               std::invalid_argument);
+}
 
-  EXPECT_EQ(r.requests, trace.size());
-  EXPECT_EQ(r.stats.submitted, trace.size());
-  EXPECT_EQ(r.stats.served + r.stats.shed, r.stats.submitted);
-  EXPECT_EQ(r.stats.latency.total(), r.stats.served);
-  EXPECT_EQ(r.stats.queue_depth.count, trace.size());
-  EXPECT_EQ(static_cast<std::size_t>(r.stats.batch_occupancy.count),
-            r.stats.batches);
-  EXPECT_EQ(static_cast<std::size_t>(r.stats.batch_occupancy.sum),
-            r.stats.served);
-  EXPECT_LE(r.stats.batch_occupancy.max, 4.0);
-  EXPECT_GE(r.stats.batch_occupancy.min, 1.0);
-  EXPECT_GT(r.throughput_rps, 0.0);
-  EXPECT_GE(r.duration_ms, trace.back().arrival_ms);
+TEST(ServeTrace, TraceJsonRejectsNonFiniteOrNegativeArrival) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-0.5, inf, std::nan("")})
+    EXPECT_THROW(trace_from_json(trace_file({{0.0, 0.0}, {bad, 1.0}})),
+                 std::invalid_argument)
+        << bad;
+}
+
+TEST(ServeTrace, TraceJsonRejectsDecreasingArrivals) {
+  EXPECT_NO_THROW(trace_from_json(trace_file({{2.0, 0.0}, {2.0, 1.0}})));
+  EXPECT_THROW(trace_from_json(trace_file({{2.0, 0.0}, {1.0, 1.0}})),
+               std::invalid_argument);
+}
+
+// mixed_spec's JSON with one field of phase `phase` (or of the spec itself
+// when phase < 0) replaced by `value`.
+util::Json spec_with(int phase, const std::string& key, double value) {
+  util::Json j = mixed_spec(3).to_json();
+  util::Json phases = util::Json::array();
+  for (std::size_t i = 0; i < j.at("phases").size(); ++i) {
+    util::Json p = j.at("phases").at(i);
+    if (static_cast<int>(i) == phase) p.set(key, value);
+    phases.push_back(std::move(p));
+  }
+  j.set("phases", std::move(phases));
+  if (phase < 0) j.set(key, value);
+  return j;
+}
+
+TEST(ServeTrace, SpecJsonRejectsBadDurationsAndRates) {
+  const double inf = std::numeric_limits<double>::infinity();
+  // Phases: 0 poisson, 1 burst, 2 ramp.
+  for (const double bad : {-1.0, inf, std::nan("")}) {
+    EXPECT_THROW(TraceSpec::from_json(spec_with(0, "duration_ms", bad)),
+                 std::invalid_argument);
+    EXPECT_THROW(TraceSpec::from_json(spec_with(0, "rate_rps", bad)),
+                 std::invalid_argument);
+    EXPECT_THROW(TraceSpec::from_json(spec_with(2, "end_rate_rps", bad)),
+                 std::invalid_argument);
+  }
+  EXPECT_NO_THROW(TraceSpec::from_json(spec_with(0, "rate_rps", 0.0)));
+}
+
+TEST(ServeTrace, SpecJsonRejectsNonPositiveBurstPeriod) {
+  for (const double bad : {0.0, -25.0})
+    EXPECT_THROW(TraceSpec::from_json(spec_with(1, "burst_every_ms", bad)),
+                 std::invalid_argument);
+}
+
+TEST(ServeTrace, SpecJsonRejectsTooFewSamples) {
+  EXPECT_THROW(TraceSpec::from_json(spec_with(-1, "num_samples", 0.0)),
+               std::invalid_argument);
+  EXPECT_THROW(TraceSpec::from_json(spec_with(-1, "num_samples", -3.0)),
+               std::invalid_argument);
+}
+
+TEST(ServeTrace, SpecJsonRejectsOutOfRangeSeed) {
+  const double two53 = static_cast<double>(1ull << 53);
+  EXPECT_NO_THROW(TraceSpec::from_json(spec_with(-1, "seed", two53)));
+  for (const double bad : {-1.0, 2.0 * two53, 1.5})
+    EXPECT_THROW(TraceSpec::from_json(spec_with(-1, "seed", bad)),
+                 std::invalid_argument)
+        << bad;
 }
 
 // A trace covering every sample exactly `repeats` times, evenly spaced.
@@ -275,30 +306,6 @@ std::vector<TraceRequest> coverage_trace(int n, int repeats, double gap_ms) {
     trace.push_back(r);
   }
   return trace;
-}
-
-TEST(ServeVirtualReplay, AccuracyInvariantAcrossDeploymentShapes) {
-  // Per-sample batch independence means the served accuracy over a coverage
-  // trace cannot depend on workers, batch caps or arrival spacing, as long
-  // as nothing is shed.
-  const SyntheticServingModel model(30);
-  std::vector<double> accs;
-  for (const int workers : {1, 2, 4}) {
-    for (const int max_batch : {1, 8}) {
-      ReplayOptions opts;
-      opts.server.workers = workers;
-      opts.server.max_batch = max_batch;
-      opts.server.queue_capacity = 0;  // unbounded: no sheds
-      opts.cost.batch_base_ms = 1.0;
-      opts.cost.batch_item_ms = 0.3;
-      const ReplayReport r =
-          replay_virtual(model, coverage_trace(30, 3, 0.2), opts);
-      EXPECT_EQ(r.stats.shed, 0u);
-      EXPECT_EQ(r.stats.served, 90u);
-      accs.push_back(r.stats.served_accuracy());
-    }
-  }
-  for (std::size_t i = 1; i < accs.size(); ++i) EXPECT_EQ(accs[i], accs[0]);
 }
 
 // ---------------------------------------------------------------------------
@@ -325,11 +332,9 @@ TEST(ServeAccuracy, ServedAccuracyMatchesOfflineSweepBitExact) {
       opts.server.max_batch = 16;
       opts.server.max_delay_ms = 1.0;
       opts.server.queue_capacity = 0;  // coverage must not shed
-      opts.cost.batch_base_ms = 3.0;
-      opts.cost.batch_item_ms = 0.4;
-      opts.compute_threads = 2;
+      opts.time_scale = 0.1;
       const ReplayReport r =
-          replay_virtual(model, coverage_trace(n, repeats, 0.5), opts);
+          replay_wall_clock(model, coverage_trace(n, repeats, 0.5), opts);
       ASSERT_EQ(r.stats.shed, 0u);
       ASSERT_EQ(r.stats.served, static_cast<std::size_t>(n) * repeats);
       // Bit-exact, not approximately equal: the dynamic batcher's request
@@ -514,13 +519,83 @@ TEST(ServeServer, WallClockReplaySmoke) {
   EXPECT_EQ(r.stats.submitted, trace.size());
   EXPECT_EQ(r.stats.served + r.stats.shed, r.stats.submitted);
   EXPECT_EQ(r.stats.latency.total(), r.stats.served);
+  EXPECT_EQ(r.stats.queue_depth.count, r.stats.submitted);
+  EXPECT_EQ(static_cast<std::size_t>(r.stats.batch_occupancy.count),
+            r.stats.batches);
+  EXPECT_EQ(static_cast<std::size_t>(r.stats.batch_occupancy.sum),
+            r.stats.served);
+  EXPECT_LE(r.stats.batch_occupancy.max, 4.0);
+  EXPECT_EQ(r.gen_late.total(), trace.size());
+  EXPECT_GE(r.gen_late.sum_ms(), 0.0);
   EXPECT_GT(r.duration_ms, 0.0);
   EXPECT_GT(r.throughput_rps, 0.0);
-  // Report JSON carries the full accounting.
+  // Report JSON carries the full accounting and the generator's lateness.
   const util::Json j = util::Json::parse(r.to_json().dump());
   EXPECT_EQ(static_cast<std::size_t>(j.at("requests").as_number()),
             trace.size());
   EXPECT_TRUE(j.at("stats").get("latency") != nullptr);
+  EXPECT_EQ(static_cast<std::size_t>(j.at("gen_late").at("total").as_number()),
+            trace.size());
+}
+
+TEST(ServeServer, AccuracyInvariantAcrossDeploymentShapes) {
+  // Per-sample batch independence means the served accuracy over a coverage
+  // trace cannot depend on workers, batch caps or arrival spacing, as long
+  // as nothing is shed.
+  const SyntheticServingModel model(30);
+  std::vector<double> accs;
+  for (const int workers : {1, 2, 4}) {
+    for (const int max_batch : {1, 8}) {
+      ReplayOptions opts;
+      opts.server.workers = workers;
+      opts.server.max_batch = max_batch;
+      opts.server.queue_capacity = 0;  // unbounded: no sheds
+      opts.time_scale = 0.1;
+      const ReplayReport r =
+          replay_wall_clock(model, coverage_trace(30, 3, 0.2), opts);
+      EXPECT_EQ(r.stats.shed, 0u);
+      EXPECT_EQ(r.stats.served, 90u);
+      accs.push_back(r.stats.served_accuracy());
+    }
+  }
+  for (std::size_t i = 1; i < accs.size(); ++i) EXPECT_EQ(accs[i], accs[0]);
+}
+
+TEST(ServeServer, ReplayRejectsOutOfRangeSampleBeforeServing) {
+  // A worker thread would otherwise meet the bad sample and terminate the
+  // process (or, for the synthetic model, read out of bounds).
+  const SyntheticServingModel model(5);
+  for (const int bad : {5, -1}) {
+    std::vector<TraceRequest> trace = coverage_trace(5, 2, 0.1);
+    trace[3].sample = bad;
+    try {
+      replay_wall_clock(model, trace, ReplayOptions{});
+      ADD_FAILURE() << "sample " << bad << " was not rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("request 3"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ServeServer, ConstructorRejectsBadOptions) {
+  const SyntheticServingModel model(4);
+  const auto rejects = [&](void (*edit)(ServerOptions&)) {
+    ServerOptions opts;
+    edit(opts);
+    EXPECT_THROW((InferenceServer{model, opts}), std::invalid_argument);
+  };
+  rejects([](ServerOptions& o) { o.workers = 0; });
+  rejects([](ServerOptions& o) { o.max_batch = 0; });
+  rejects([](ServerOptions& o) { o.max_batch = -4; });
+  rejects([](ServerOptions& o) { o.max_delay_ms = -1.0; });
+  rejects([](ServerOptions& o) {
+    o.max_delay_ms = std::numeric_limits<double>::infinity();
+  });
+  rejects([](ServerOptions& o) { o.max_delay_ms = std::nan(""); });
+  ServerOptions ok;
+  ok.max_delay_ms = 0.0;
+  EXPECT_NO_THROW((InferenceServer{model, ok}));
 }
 
 }  // namespace

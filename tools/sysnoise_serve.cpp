@@ -10,8 +10,6 @@
 //                  [--model synthetic|MCUNet] [--config NAME]
 //                  [--workers N] [--max-batch N] [--max-delay-ms X]
 //                  [--queue-capacity N]
-//                  [--virtual [--base-ms X] [--item-ms X]
-//                             [--compute-threads N]]
 //                  [--time-scale X] [--gemm-workers N] [--out FILE]
 //
 // `gen` expands a spec into its concrete arrival list (deterministic from
@@ -20,19 +18,26 @@
 // generated on one machine replays bit-exactly on another. With no --phase,
 // a single 1000ms/100rps Poisson phase is used.
 //
-// `replay` drives the trace through either the deterministic virtual clock
-// (--virtual: the report is a pure function of trace + options) or the real
-// InferenceServer (default; wall-clock sleeps and worker threads). --config
-// picks the deployment config for --model MCUNet: training_default,
-// backend=blocked, backend=simd, or resize=opencv_nearest. The replay
-// report is printed as JSON (or written to --out).
+// `replay` drives the trace through the real InferenceServer: wall-clock
+// sleeps to each arrival (scaled by --time-scale) and real worker threads.
+// --config picks the deployment config for --model MCUNet:
+// training_default, backend=blocked, backend=simd, or
+// resize=opencv_nearest. The replay report is printed as JSON (or written
+// to --out).
+//
+// Numbers are parsed whole and range-checked, so "--workers 0" or
+// "--max-delay-ms 2ms" fails loudly instead of being clamped or half-read;
+// so does a malformed trace file.
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,11 +62,38 @@ namespace {
       "       %s replay --trace FILE [--model synthetic|MCUNet]\n"
       "          [--config NAME] [--workers N] [--max-batch N]\n"
       "          [--max-delay-ms X] [--queue-capacity N] [--gemm-workers N]\n"
-      "          [--virtual [--base-ms X] [--item-ms X] "
-      "[--compute-threads N]]\n"
       "          [--time-scale X] [--out FILE]\n",
       argv0, argv0);
   std::exit(2);
+}
+
+// All-digit style: digits only for counts, plus at most one '.' for
+// decimals (no sign, exponent, "nan" or "inf"), then the range check.
+double number_arg(const std::string& s, const std::string& what, double lo,
+                  double hi, bool integer = false) {
+  int digits = 0, dots = 0;
+  bool ok = true;
+  for (const char ch : s) {
+    if (ch >= '0' && ch <= '9')
+      ++digits;
+    else if (ch != '.' || integer || ++dots > 1)
+      ok = false;
+  }
+  const double v = std::strtod(s.c_str(), nullptr);
+  if (!ok || digits == 0 || !(v >= lo && v <= hi)) {
+    std::fprintf(stderr, "bad %s \"%s\"\n", what.c_str(), s.c_str());
+    std::exit(2);
+  }
+  return v;
+}
+
+int int_arg(const std::string& s, const std::string& what, int lo) {
+  return static_cast<int>(number_arg(s, what, lo, INT_MAX, true));
+}
+
+double decimal_arg(const std::string& s, const std::string& what,
+                   double lo = 0.0) {
+  return number_arg(s, what, lo, std::numeric_limits<double>::max());
 }
 
 std::string read_file(const std::string& path) {
@@ -113,20 +145,21 @@ serve::TracePhase parse_phase(const std::string& arg) {
   if (parts[0] == "poisson") {
     want(3);
     p.kind = serve::PhaseKind::kPoisson;
-    p.duration_ms = std::atof(parts[1].c_str());
-    p.rate_rps = std::atof(parts[2].c_str());
+    p.duration_ms = decimal_arg(parts[1], "phase duration");
+    p.rate_rps = decimal_arg(parts[2], "phase rate");
   } else if (parts[0] == "burst") {
     want(4);
     p.kind = serve::PhaseKind::kBurst;
-    p.duration_ms = std::atof(parts[1].c_str());
-    p.burst_every_ms = std::atof(parts[2].c_str());
-    p.burst_size = std::atoi(parts[3].c_str());
+    p.duration_ms = decimal_arg(parts[1], "phase duration");
+    p.burst_every_ms = decimal_arg(parts[2], "burst period (> 0)",
+                                   std::numeric_limits<double>::min());
+    p.burst_size = int_arg(parts[3], "burst size", 0);
   } else if (parts[0] == "ramp") {
     want(4);
     p.kind = serve::PhaseKind::kRamp;
-    p.duration_ms = std::atof(parts[1].c_str());
-    p.rate_rps = std::atof(parts[2].c_str());
-    p.end_rate_rps = std::atof(parts[3].c_str());
+    p.duration_ms = decimal_arg(parts[1], "phase duration");
+    p.rate_rps = decimal_arg(parts[2], "ramp start rate");
+    p.end_rate_rps = decimal_arg(parts[3], "ramp end rate");
   } else {
     std::fprintf(stderr, "unknown phase kind \"%s\"\n", parts[0].c_str());
     std::exit(2);
@@ -163,9 +196,11 @@ int run_gen(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--seed" && i + 1 < argc) {
-      spec.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      // Below 2^53, so every accepted string is exactly representable.
+      spec.seed = static_cast<std::uint64_t>(number_arg(
+          argv[++i], "--seed (0..2^53-1)", 0, (1ull << 53) - 1, true));
     } else if (arg == "--num-samples" && i + 1 < argc) {
-      spec.num_samples = std::atoi(argv[++i]);
+      spec.num_samples = int_arg(argv[++i], "--num-samples (>= 1)", 1);
     } else if (arg == "--random-samples") {
       spec.random_samples = true;
     } else if (arg == "--phase" && i + 1 < argc) {
@@ -194,8 +229,6 @@ int run_replay(int argc, char** argv) {
   serve::ReplayOptions opts;
   opts.server.workers = 2;
   opts.server.max_batch = 8;
-  bool virtual_clock = false;
-  bool cost_overridden = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--trace" && i + 1 < argc) {
@@ -205,28 +238,19 @@ int run_replay(int argc, char** argv) {
     } else if (arg == "--config" && i + 1 < argc) {
       config_name = argv[++i];
     } else if (arg == "--workers" && i + 1 < argc) {
-      opts.server.workers = std::atoi(argv[++i]);
+      opts.server.workers = int_arg(argv[++i], "--workers (>= 1)", 1);
     } else if (arg == "--max-batch" && i + 1 < argc) {
-      opts.server.max_batch = std::atoi(argv[++i]);
+      opts.server.max_batch = int_arg(argv[++i], "--max-batch (>= 1)", 1);
     } else if (arg == "--max-delay-ms" && i + 1 < argc) {
-      opts.server.max_delay_ms = std::atof(argv[++i]);
+      opts.server.max_delay_ms = decimal_arg(argv[++i], "--max-delay-ms");
     } else if (arg == "--queue-capacity" && i + 1 < argc) {
-      opts.server.queue_capacity =
-          static_cast<std::size_t>(std::atoll(argv[++i]));
+      opts.server.queue_capacity = static_cast<std::size_t>(
+          int_arg(argv[++i], "--queue-capacity", 0));
     } else if (arg == "--gemm-workers" && i + 1 < argc) {
-      opts.server.gemm_workers = std::atoi(argv[++i]);
-    } else if (arg == "--virtual") {
-      virtual_clock = true;
-    } else if (arg == "--base-ms" && i + 1 < argc) {
-      opts.cost.batch_base_ms = std::atof(argv[++i]);
-      cost_overridden = true;
-    } else if (arg == "--item-ms" && i + 1 < argc) {
-      opts.cost.batch_item_ms = std::atof(argv[++i]);
-      cost_overridden = true;
-    } else if (arg == "--compute-threads" && i + 1 < argc) {
-      opts.compute_threads = std::atoi(argv[++i]);
+      opts.server.gemm_workers = int_arg(
+          argv[++i], "--gemm-workers (>= 0; 0 = one per hardware thread)", 0);
     } else if (arg == "--time-scale" && i + 1 < argc) {
-      opts.time_scale = std::atof(argv[++i]);
+      opts.time_scale = decimal_arg(argv[++i], "--time-scale");
     } else if (arg == "--out" && i + 1 < argc) {
       out = argv[++i];
     } else {
@@ -234,14 +258,9 @@ int run_replay(int argc, char** argv) {
     }
   }
   if (trace_file.empty()) usage(argv[0]);
-  if (cost_overridden && !virtual_clock) {
-    std::fprintf(stderr, "--base-ms/--item-ms only apply with --virtual\n");
-    return 2;
-  }
   const auto trace =
       serve::trace_from_json(util::Json::parse(read_file(trace_file)));
-  std::fprintf(stderr, "replaying %zu requests (%s clock)\n", trace.size(),
-               virtual_clock ? "virtual" : "wall");
+  std::fprintf(stderr, "replaying %zu requests\n", trace.size());
 
   // Keep the heavyweight model alive for the whole replay.
   std::unique_ptr<serve::ServingModel> model;
@@ -260,11 +279,7 @@ int run_replay(int argc, char** argv) {
   }
   const serve::ServingModel& m = classifier ? *classifier : *model;
 
-  const serve::ReplayReport report = virtual_clock
-                                         ? serve::replay_virtual(m, trace, opts)
-                                         : serve::replay_wall_clock(m, trace, opts);
-  util::Json j = report.to_json();
-  j.set("clock", virtual_clock ? "virtual" : "wall");
+  util::Json j = serve::replay_wall_clock(m, trace, opts).to_json();
   j.set("model", model_name);
   if (classifier) j.set("config", config_name.empty() ? "training_default"
                                                       : config_name);
@@ -277,7 +292,12 @@ int run_replay(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 2) usage(argv[0]);
   const std::string cmd = argv[1];
-  if (cmd == "gen") return run_gen(argc, argv);
-  if (cmd == "replay") return run_replay(argc, argv);
+  try {
+    if (cmd == "gen") return run_gen(argc, argv);
+    if (cmd == "replay") return run_replay(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "sysnoise_serve %s: %s\n", cmd.c_str(), e.what());
+    return 1;
+  }
   usage(argv[0]);
 }
