@@ -5,12 +5,22 @@
 #include <stdexcept>
 
 #include "nn/serialize.h"
+#include "obs/trace.h"
 
 namespace sysnoise::models {
 
 namespace {
 constexpr std::uint64_t kInitSeed = 2024;
 constexpr const char* kCacheVersion = "v1";
+
+// Attributes of the zoo.load / zoo.train / zoo.baseline_eval spans; a span
+// is inert (records nothing) while tracing is off.
+void zoo_span_attrs(obs::TraceSpan& span, const std::string& model,
+                    const std::string& tag, int epochs) {
+  span.attr("model", model);
+  span.attr("tag", tag);
+  span.attr("epochs", epochs);
+}
 }  // namespace
 
 std::string cache_dir() {
@@ -64,26 +74,40 @@ TrainedClassifier get_classifier(const std::string& name, const std::string& tag
   const std::string wpath = stem + ".weights";
   const std::string rpath = stem + ".ranges";
 
-  if (!nn::load_params(wpath, params, state)) {
-    TrainConfig cfg;
-    // Transformers need the Adam recipe to converge from scratch at this
-    // scale; convnets use SGD+momentum (both mirror common practice).
-    if (name.rfind("ViT", 0) == 0 || name.rfind("Swin", 0) == 0) {
-      cfg.use_adam = true;
-      cfg.lr = 1.5e-3f;
-      cfg.epochs = 30;
+  TrainConfig cfg;
+  // Transformers need the Adam recipe to converge from scratch at this
+  // scale; convnets use SGD+momentum (both mirror common practice).
+  if (name.rfind("ViT", 0) == 0 || name.rfind("Swin", 0) == 0) {
+    cfg.use_adam = true;
+    cfg.lr = 1.5e-3f;
+    cfg.epochs = 30;
+  }
+  if (train_override != nullptr) cfg = *train_override;
+
+  bool loaded = false;
+  {
+    obs::TraceSpan span("zoo.load");
+    zoo_span_attrs(span, name, tag, cfg.epochs);
+    loaded = nn::load_params(wpath, params, state);
+    if (loaded && !nn::load_ranges(rpath, out.ranges)) {
+      calibrate_classifier(*out.model, ds.train, spec, out.ranges);
+      nn::save_ranges(rpath, out.ranges);
     }
-    if (train_override != nullptr) cfg = *train_override;
-    const ClsPreprocessor default_prep = default_cls_preprocessor(spec);
-    train_classifier(*out.model, ds.train, ds.num_classes,
-                     prep != nullptr ? *prep : default_prep, cfg);
-    calibrate_classifier(*out.model, ds.train, spec, out.ranges);
+  }
+  if (!loaded) {
+    {
+      obs::TraceSpan span("zoo.train");
+      zoo_span_attrs(span, name, tag, cfg.epochs);
+      const ClsPreprocessor default_prep = default_cls_preprocessor(spec);
+      train_classifier(*out.model, ds.train, ds.num_classes,
+                       prep != nullptr ? *prep : default_prep, cfg);
+      calibrate_classifier(*out.model, ds.train, spec, out.ranges);
+    }
     nn::save_params(wpath, params, cstate);
     nn::save_ranges(rpath, out.ranges);
-  } else if (!nn::load_ranges(rpath, out.ranges)) {
-    calibrate_classifier(*out.model, ds.train, spec, out.ranges);
-    nn::save_ranges(rpath, out.ranges);
   }
+  obs::TraceSpan span("zoo.baseline_eval");
+  zoo_span_attrs(span, name, tag, cfg.epochs);
   out.trained_acc = eval_classifier(*out.model, ds.eval,
                                     SysNoiseConfig::training_default(), spec,
                                     &out.ranges);
@@ -124,19 +148,33 @@ TrainedDetector get_detector(const std::string& name) {
   std::vector<const Tensor*> cstate(state.begin(), state.end());
 
   const std::string stem = cache_dir() + "/det_" + name + "_" + kCacheVersion;
-  if (!nn::load_params(stem + ".weights", params, state)) {
-    TrainConfig cfg;
-    cfg.epochs = 16;
-    cfg.batch_size = 8;
-    cfg.lr = 0.02f;
-    train_detector(*out.model, ds, spec, cfg);
-    calibrate_detector(*out.model, ds, spec, out.ranges);
+  TrainConfig cfg;
+  cfg.epochs = 16;
+  cfg.batch_size = 8;
+  cfg.lr = 0.02f;
+
+  bool loaded = false;
+  {
+    obs::TraceSpan span("zoo.load");
+    zoo_span_attrs(span, name, "", cfg.epochs);
+    loaded = nn::load_params(stem + ".weights", params, state);
+    if (loaded && !nn::load_ranges(stem + ".ranges", out.ranges)) {
+      calibrate_detector(*out.model, ds, spec, out.ranges);
+      nn::save_ranges(stem + ".ranges", out.ranges);
+    }
+  }
+  if (!loaded) {
+    {
+      obs::TraceSpan span("zoo.train");
+      zoo_span_attrs(span, name, "", cfg.epochs);
+      train_detector(*out.model, ds, spec, cfg);
+      calibrate_detector(*out.model, ds, spec, out.ranges);
+    }
     nn::save_params(stem + ".weights", params, cstate);
     nn::save_ranges(stem + ".ranges", out.ranges);
-  } else if (!nn::load_ranges(stem + ".ranges", out.ranges)) {
-    calibrate_detector(*out.model, ds, spec, out.ranges);
-    nn::save_ranges(stem + ".ranges", out.ranges);
   }
+  obs::TraceSpan span("zoo.baseline_eval");
+  zoo_span_attrs(span, name, "", cfg.epochs);
   out.trained_map = eval_detector(*out.model, ds, SysNoiseConfig::training_default(),
                                   spec, &out.ranges);
   return out;
@@ -158,19 +196,33 @@ TrainedSegmenter get_segmenter(const std::string& name) {
   std::vector<const Tensor*> cstate(state.begin(), state.end());
 
   const std::string stem = cache_dir() + "/seg_" + name + "_" + kCacheVersion;
-  if (!nn::load_params(stem + ".weights", params, state)) {
-    TrainConfig cfg;
-    cfg.epochs = 10;
-    cfg.batch_size = 8;
-    cfg.lr = 0.05f;
-    train_segmenter(*out.model, ds, spec, cfg);
-    calibrate_segmenter(*out.model, ds, spec, out.ranges);
+  TrainConfig cfg;
+  cfg.epochs = 10;
+  cfg.batch_size = 8;
+  cfg.lr = 0.05f;
+
+  bool loaded = false;
+  {
+    obs::TraceSpan span("zoo.load");
+    zoo_span_attrs(span, name, "", cfg.epochs);
+    loaded = nn::load_params(stem + ".weights", params, state);
+    if (loaded && !nn::load_ranges(stem + ".ranges", out.ranges)) {
+      calibrate_segmenter(*out.model, ds, spec, out.ranges);
+      nn::save_ranges(stem + ".ranges", out.ranges);
+    }
+  }
+  if (!loaded) {
+    {
+      obs::TraceSpan span("zoo.train");
+      zoo_span_attrs(span, name, "", cfg.epochs);
+      train_segmenter(*out.model, ds, spec, cfg);
+      calibrate_segmenter(*out.model, ds, spec, out.ranges);
+    }
     nn::save_params(stem + ".weights", params, cstate);
     nn::save_ranges(stem + ".ranges", out.ranges);
-  } else if (!nn::load_ranges(stem + ".ranges", out.ranges)) {
-    calibrate_segmenter(*out.model, ds, spec, out.ranges);
-    nn::save_ranges(stem + ".ranges", out.ranges);
   }
+  obs::TraceSpan span("zoo.baseline_eval");
+  zoo_span_attrs(span, name, "", cfg.epochs);
   out.trained_miou = eval_segmenter(*out.model, ds, SysNoiseConfig::training_default(),
                                     spec, &out.ranges);
   return out;

@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "nn/ops.h"
 
@@ -27,23 +30,35 @@ Node* attention_core(Tape& tape, Node* q, Node* k, Node* v, int heads, bool caus
   auto probs = std::make_shared<Tensor>(Tensor({b, heads, t, t}));
   Tensor out({b, t, d});
 
+  // The forward runs in lanes: the score row accumulates its j entries side
+  // by side over a [dh, T] transpose of the head's K slice, and P.V
+  // accumulates the e entries of an output row side by side. Each lane
+  // keeps the chain of the scalar dot product it replaces (0 + q.k over e
+  // ascending; 0 + p.v over j ascending), so the output bits do not depend
+  // on the layout. The max, exp, double-precision denominator and scaling
+  // stay scalar, in row order.
+  std::vector<float> kt(static_cast<std::size_t>(dh) * t);
   for (int bi = 0; bi < b; ++bi) {
     for (int h = 0; h < heads; ++h) {
       const int off = h * dh;
+      for (int j = 0; j < t; ++j)
+        for (int e = 0; e < dh; ++e)
+          kt[static_cast<std::size_t>(e) * t + j] =
+              elem(k->value, bi, j, off, e, t, d);
       float* prow_base =
           probs->data() + (static_cast<std::size_t>(bi) * heads + h) * t * t;
       for (int i = 0; i < t; ++i) {
         float* prow = prow_base + static_cast<std::size_t>(i) * t;
         const int jmax = causal ? i + 1 : t;
-        float mx = -std::numeric_limits<float>::infinity();
-        for (int j = 0; j < jmax; ++j) {
-          float s = 0.0f;
-          for (int e = 0; e < dh; ++e)
-            s += elem(q->value, bi, i, off, e, t, d) *
-                 elem(k->value, bi, j, off, e, t, d);
-          prow[j] = s * inv_sqrt;
-          mx = std::max(mx, prow[j]);
+        std::fill(prow, prow + jmax, 0.0f);
+        for (int e = 0; e < dh; ++e) {
+          const float qe = elem(q->value, bi, i, off, e, t, d);
+          const float* krow = kt.data() + static_cast<std::size_t>(e) * t;
+          for (int j = 0; j < jmax; ++j) prow[j] += qe * krow[j];
         }
+        for (int j = 0; j < jmax; ++j) prow[j] *= inv_sqrt;
+        float mx = -std::numeric_limits<float>::infinity();
+        for (int j = 0; j < jmax; ++j) mx = std::max(mx, prow[j]);
         double denom = 0.0;
         for (int j = 0; j < jmax; ++j) {
           prow[j] = std::exp(prow[j] - mx);
@@ -53,11 +68,12 @@ Node* attention_core(Tape& tape, Node* q, Node* k, Node* v, int heads, bool caus
         for (int j = 0; j < jmax; ++j) prow[j] *= inv;
         for (int j = jmax; j < t; ++j) prow[j] = 0.0f;  // masked
         // O_i = sum_j P_ij V_j
-        for (int e = 0; e < dh; ++e) {
-          float acc = 0.0f;
-          for (int j = 0; j < jmax; ++j)
-            acc += prow[j] * elem(v->value, bi, j, off, e, t, d);
-          elem(out, bi, i, off, e, t, d) = acc;
+        float* orow = &elem(out, bi, i, off, 0, t, d);
+        std::fill(orow, orow + dh, 0.0f);
+        for (int j = 0; j < jmax; ++j) {
+          const float pij = prow[j];
+          const float* vrow = &elem(v->value, bi, j, off, 0, t, d);
+          for (int e = 0; e < dh; ++e) orow[e] += pij * vrow[e];
         }
       }
     }

@@ -10,20 +10,28 @@
 //    gemm() as its B operand, since their im2col would be an identity copy;
 //  - everything else: pointer im2col into scratch, then gemm().
 //
-// The backends:
+// The backends (one packed-panel GEMM engine, one micro-kernel chain each;
+// see tensor/gemm.cpp):
 //
-//  - kReference  — the historical scalar loops, bit-identical to the seed's
-//                  output. Keeps the zero-skip (`if (av == 0.0f) continue;`)
-//                  as an explicit, documented property: it silently drops
+//  - kReference  — the original scalar loops' per-element chain: C
+//                  itself is the accumulator and a term whose A element is
+//                  +-0 is skipped (`if (av == 0.0f) continue;`). The skip
+//                  is an explicit, documented property: it silently drops
 //                  0 x inf = NaN propagation, so results depend on the
 //                  sparsity of A when B holds non-finite values.
-//  - kBlocked    — register-tiled micro-kernel over packed panels with a
-//                  fixed, k-ascending accumulation order (no zero-skip, so
-//                  IEEE non-finite propagation is exact).
+//                  gemm_bt_acc never skipped and runs blocked's chain.
+//  - kBlocked    — fresh accumulators, mul then add in k-ascending order,
+//                  added to C once (no zero-skip, so IEEE non-finite
+//                  propagation is exact). Agrees with kReference bit for
+//                  bit except where a zero A meets a non-finite B or C
+//                  holds a -0.
 //  - kSimd       — AVX2+FMA on x86 / NEON on ARM, picked by runtime CPU
-//                  detection with a scalar (blocked) fallback; vector tails
-//                  run scalar. FMA and lane-wise partial sums legitimately
-//                  round differently from the scalar kernels.
+//                  detection with blocked's kernel as the fallback. FMA and
+//                  lane-wise partial sums legitimately round differently
+//                  from the other two.
+// kReference and kBlocked run 8-lane AVX2 kernels where the CPU has AVX2 and
+// scalar loops elsewhere; both multiply and add separately (never FMA), so
+// that choice is invisible in the output bits.
 //
 // Different kernels produce different floats for the *same* operator — that
 // is exactly the paper's hardware/implementation noise, so the backend is

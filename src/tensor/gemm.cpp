@@ -1,21 +1,29 @@
 // GEMM kernel family behind the ComputeBackend seam (tensor/backend.h).
 //
-// Three implementations of every variant:
-//  - reference: the seed's scalar loops, bit-identical to the historical
-//    output. Keeps the zero-skip (`if (av == 0.0f) continue;`) as a
-//    documented reference-only property — it drops 0 x inf = NaN
-//    propagation, so results depend on the sparsity of A when B holds
-//    non-finite values. The other backends do NOT skip.
-//  - blocked: one packed-panel engine for all variants. A and B tiles are
-//    packed into k-major micro-panels and a register-tiled MR x NR
-//    micro-kernel accumulates in a fixed, strictly k-ascending order into
-//    fresh accumulators that are added to C once — deterministic at any
-//    tile boundary or worker count.
-//  - simd: the same packed engine with an AVX2+FMA (x86) or NEON (ARM)
-//    micro-kernel, chosen by runtime CPU detection; tails and unsupported
-//    CPUs fall back to the blocked scalar micro-kernel. FMA's single
-//    rounding makes this a genuinely different float profile — which is
-//    the point: the backend is a measured noise axis.
+// One packed-panel engine runs every variant on every backend: A and B
+// tiles are packed into k-major micro-panels and a register-tiled MR x NR
+// micro-kernel walks k in strictly ascending order. What defines a backend
+// is its micro-kernel's per-element chain, not its loop structure:
+//  - reference: the chain of the original scalar loops, in which C itself
+//    was the accumulator. The tile starts from C, every term whose A
+//    element is +-0 is skipped (`if (av == 0.0f) continue;`), and the tile
+//    is stored back. The skip is a documented reference-only property: it
+//    drops 0 x inf = NaN propagation, so results depend on the sparsity of
+//    A when B holds non-finite values. gemm_bt_acc never skipped; its
+//    original loop added a fresh dot product to C, which is blocked's
+//    chain, so it runs blocked's kernel.
+//  - blocked: fresh zero accumulators, mul then add per k step, no skip,
+//    added to C once (`C += acc`) — deterministic at any tile boundary or
+//    worker count.
+//  - simd: the blocked structure with an AVX2+FMA (x86) or NEON (ARM)
+//    micro-kernel, chosen by runtime CPU detection; CPUs without one fall
+//    back to blocked's kernel. FMA's single rounding makes this a genuinely
+//    different float profile — which is the point: the backend is a
+//    measured noise axis.
+// The reference and blocked chains run as 8-lane AVX2 kernels when the CPU
+// has AVX2, else as scalar loops. Both use a separate multiply and add
+// (never FMA), which round exactly like the scalar mul and add, so the ISA
+// choice is invisible in the output bits.
 //
 // depthwise_conv_plane() is the m = 1 GEMM of a depthwise conv computed in
 // place on the padded plane: one direct kernel per backend (scalar with the
@@ -48,68 +56,7 @@ namespace sysnoise {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Reference backend: the seed's loops, preserved verbatim.
-// ---------------------------------------------------------------------------
-
-constexpr int kRefBlockK = 128;
-constexpr int kRefBlockN = 256;
-
-void ref_gemm_acc(int m, int n, int k, const float* a, const float* b,
-                  float* c) {
-  // i-k-j loop order with k/n blocking: B rows stream through cache.
-  for (int k0 = 0; k0 < k; k0 += kRefBlockK) {
-    const int k1 = std::min(k, k0 + kRefBlockK);
-    for (int n0 = 0; n0 < n; n0 += kRefBlockN) {
-      const int n1 = std::min(n, n0 + kRefBlockN);
-      for (int i = 0; i < m; ++i) {
-        float* crow = c + static_cast<std::ptrdiff_t>(i) * n;
-        const float* arow = a + static_cast<std::ptrdiff_t>(i) * k;
-        for (int kk = k0; kk < k1; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;
-          const float* brow = b + static_cast<std::ptrdiff_t>(kk) * n;
-          for (int j = n0; j < n1; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  }
-}
-
-void ref_gemm_at_acc(int m, int n, int k, const float* a, int a_stride,
-                     const float* b, float* c) {
-  // A is k x a_stride and this call covers m of its columns starting at
-  // `a` (a_stride == m for a whole-matrix call; a row-split passes the
-  // full output width so each k step strides over the entire A row).
-  // Iterate kk outer so both A and B stream row-wise.
-  for (int kk = 0; kk < k; ++kk) {
-    const float* arow = a + static_cast<std::ptrdiff_t>(kk) * a_stride;
-    const float* brow = b + static_cast<std::ptrdiff_t>(kk) * n;
-    for (int i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = c + static_cast<std::ptrdiff_t>(i) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-void ref_gemm_bt_acc(int m, int n, int k, const float* a, const float* b,
-                     float* c) {
-  // B is n x k; dot products of A rows with B rows.
-  for (int i = 0; i < m; ++i) {
-    const float* arow = a + static_cast<std::ptrdiff_t>(i) * k;
-    float* crow = c + static_cast<std::ptrdiff_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const float* brow = b + static_cast<std::ptrdiff_t>(j) * k;
-      float acc = 0.0f;
-      for (int kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      crow[j] += acc;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Packed-panel engine shared by the blocked and simd backends
+// Packed-panel engine and its micro-kernels
 // ---------------------------------------------------------------------------
 
 // Micro-tile: MR rows of C by NR columns, accumulators live in registers
@@ -159,7 +106,101 @@ void micro_scalar(int k, const float* ap, const float* bp, float* acc) {
   }
 }
 
+// Reference micro-kernel: the original scalar loops' chain, C itself being
+// the accumulator. It updates the MR x NR tile of C at c (rows ldc floats
+// apart) in place, and a step whose A element is +-0 leaves that row
+// untouched: adding the +-0 product instead would turn a -0 in C into +0
+// and 0 x inf into NaN. Same two-pass split as micro_scalar.
+void micro_reference(int k, const float* ap, const float* bp, float* c,
+                     std::ptrdiff_t ldc) {
+  constexpr int kHalf = NR / 2;
+  for (int jh = 0; jh < NR; jh += kHalf) {
+    float t[MR * kHalf];
+    for (int i = 0; i < MR; ++i)
+      for (int j = 0; j < kHalf; ++j) t[i * kHalf + j] = c[i * ldc + jh + j];
+    for (int kk = 0; kk < k; ++kk) {
+      const float* arow = ap + static_cast<std::ptrdiff_t>(kk) * MR;
+      const float* brow = bp + static_cast<std::ptrdiff_t>(kk) * NR + jh;
+      for (int i = 0; i < MR; ++i) {
+        const float av = arow[i];
+        if (av == 0.0f) continue;
+        for (int j = 0; j < kHalf; ++j) t[i * kHalf + j] += av * brow[j];
+      }
+    }
+    for (int i = 0; i < MR; ++i)
+      for (int j = 0; j < kHalf; ++j) c[i * ldc + jh + j] = t[i * kHalf + j];
+  }
+}
+
 #if defined(SYSNOISE_GEMM_X86)
+// micro_scalar's chain in 8-lane AVX2 registers. The target deliberately
+// lacks FMA, so the compiler cannot contract the multiply and the add: each
+// rounds exactly like its scalar counterpart and the output bits match.
+__attribute__((target("avx2"))) void micro_blocked_avx2(int k,
+                                                        const float* ap,
+                                                        const float* bp,
+                                                        float* acc) {
+  __m256 c[MR][2];
+  for (int i = 0; i < MR; ++i) c[i][0] = c[i][1] = _mm256_setzero_ps();
+  for (int kk = 0; kk < k; ++kk) {
+    const float* arow = ap + static_cast<std::ptrdiff_t>(kk) * MR;
+    const float* brow = bp + static_cast<std::ptrdiff_t>(kk) * NR;
+    const __m256 b0 = _mm256_loadu_ps(brow);
+    const __m256 b1 = _mm256_loadu_ps(brow + 8);
+    for (int i = 0; i < MR; ++i) {
+      const __m256 av = _mm256_broadcast_ss(arow + i);
+      c[i][0] = _mm256_add_ps(c[i][0], _mm256_mul_ps(av, b0));
+      c[i][1] = _mm256_add_ps(c[i][1], _mm256_mul_ps(av, b1));
+    }
+  }
+  for (int i = 0; i < MR; ++i) {
+    _mm256_storeu_ps(acc + i * NR, c[i][0]);
+    _mm256_storeu_ps(acc + i * NR + 8, c[i][1]);
+  }
+}
+
+// micro_reference's chain in AVX2 registers (no FMA, as above). The skip
+// depends on A alone, so it is uniform across a row's lanes: a k step whose
+// MR A values are all nonzero (every step of a dense weight panel) runs the
+// plain mul+add; otherwise each row blends its old accumulators back where
+// its A value is +-0, without a branch per row.
+__attribute__((target("avx2"))) void micro_reference_avx2(
+    int k, const float* ap, const float* bp, float* ctile, std::ptrdiff_t ldc) {
+  __m256 c[MR][2];
+  for (int i = 0; i < MR; ++i) {
+    c[i][0] = _mm256_loadu_ps(ctile + i * ldc);
+    c[i][1] = _mm256_loadu_ps(ctile + i * ldc + 8);
+  }
+  const __m256 zero = _mm256_setzero_ps();
+  for (int kk = 0; kk < k; ++kk) {
+    const float* arow = ap + static_cast<std::ptrdiff_t>(kk) * MR;
+    const float* brow = bp + static_cast<std::ptrdiff_t>(kk) * NR;
+    const __m256 b0 = _mm256_loadu_ps(brow);
+    const __m256 b1 = _mm256_loadu_ps(brow + 8);
+    const __m128 a4 = _mm_loadu_ps(arow);
+    if (_mm_movemask_ps(_mm_cmpeq_ps(a4, _mm_setzero_ps())) == 0) {
+      for (int i = 0; i < MR; ++i) {
+        const __m256 av = _mm256_broadcast_ss(arow + i);
+        c[i][0] = _mm256_add_ps(c[i][0], _mm256_mul_ps(av, b0));
+        c[i][1] = _mm256_add_ps(c[i][1], _mm256_mul_ps(av, b1));
+      }
+    } else {
+      for (int i = 0; i < MR; ++i) {
+        const __m256 av = _mm256_broadcast_ss(arow + i);
+        const __m256 skip = _mm256_cmp_ps(av, zero, _CMP_EQ_OQ);
+        c[i][0] = _mm256_blendv_ps(
+            _mm256_add_ps(c[i][0], _mm256_mul_ps(av, b0)), c[i][0], skip);
+        c[i][1] = _mm256_blendv_ps(
+            _mm256_add_ps(c[i][1], _mm256_mul_ps(av, b1)), c[i][1], skip);
+      }
+    }
+  }
+  for (int i = 0; i < MR; ++i) {
+    _mm256_storeu_ps(ctile + i * ldc, c[i][0]);
+    _mm256_storeu_ps(ctile + i * ldc + 8, c[i][1]);
+  }
+}
+
 __attribute__((target("avx2,fma"))) void micro_avx2(int k, const float* ap,
                                                     const float* bp,
                                                     float* acc) {
@@ -216,20 +257,60 @@ void micro_neon(int k, const float* ap, const float* bp, float* acc) {
 }
 #endif
 
+// A fresh kernel writes its MR x NR accumulators, started from zero, to acc;
+// the engine adds them to C. A seeded kernel updates a C tile in place.
 using MicroKernel = void (*)(int, const float*, const float*, float*);
+using SeededKernel = void (*)(int, const float*, const float*, float*,
+                              std::ptrdiff_t);
+
+// A backend's micro-kernel: exactly one of the two is set.
+struct Micro {
+  MicroKernel fresh = nullptr;
+  SeededKernel seeded = nullptr;
+};
+
+#if defined(SYSNOISE_GEMM_X86)
+bool cpu_has_avx2() {
+  static const bool avx2 = __builtin_cpu_supports("avx2");
+  return avx2;
+}
+#endif
+
+MicroKernel blocked_micro_kernel() {
+#if defined(SYSNOISE_GEMM_X86)
+  if (cpu_has_avx2()) return &micro_blocked_avx2;
+#endif
+  return &micro_scalar;
+}
 
 MicroKernel simd_micro_kernel() {
 #if defined(SYSNOISE_GEMM_X86)
   static const MicroKernel kernel =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")
           ? &micro_avx2
-          : &micro_scalar;
+          : blocked_micro_kernel();
   return kernel;
 #elif defined(SYSNOISE_GEMM_NEON)
   return &micro_neon;
 #else
-  return &micro_scalar;
+  return blocked_micro_kernel();
 #endif
+}
+
+Micro backend_micro(ComputeBackend backend, BMode bmode) {
+  switch (backend) {
+    case ComputeBackend::kReference:
+      // The original gemm_bt_acc loop added a fresh, never-skipping dot product to
+      // C: exactly blocked's chain.
+      if (bmode == BMode::kTransposed) return {blocked_micro_kernel()};
+#if defined(SYSNOISE_GEMM_X86)
+      if (cpu_has_avx2()) return {nullptr, &micro_reference_avx2};
+#endif
+      return {nullptr, &micro_reference};
+    case ComputeBackend::kBlocked: return {blocked_micro_kernel()};
+    case ComputeBackend::kSimd: return {simd_micro_kernel()};
+  }
+  return {blocked_micro_kernel()};
 }
 
 // ---------------------------------------------------------------------------
@@ -258,7 +339,7 @@ inline void axpy_row(int ow, int stride, float wv, const float* xrow,
 }
 
 // out accumulates every tap in (ky, kx) order; the reference flavor skips
-// zero weights like ref_gemm_acc.
+// zero weights like micro_reference.
 template <bool kSkipZeroWeights>
 void dw_scalar_taps(int k, int stride, const float* w, const float* xp,
                     int xp_w, int oh, int ow, float* out) {
@@ -274,7 +355,7 @@ void dw_scalar_taps(int k, int stride, const float* w, const float* xp,
     }
 }
 
-// Reference: ref_gemm_acc's chain, C itself being the accumulator.
+// Reference: micro_reference's chain, C itself being the accumulator.
 void dw_reference(int k, int stride, const float* w, const float* xp, int xp_w,
                   int oh, int ow, float* out) {
   dw_scalar_taps<true>(k, stride, w, xp, xp_w, oh, ow, out);
@@ -385,9 +466,11 @@ DepthwiseKernel simd_depthwise_kernel() {
 // C[i0:i0+mb) rows += op(A) * op(B) over the full k range through packed
 // panels. Packing cost: A once per call (k-major MR panels, zero-padded
 // tail rows), B once per NR column strip (reused across all row panels).
-// Zero padding is only ever multiplied into accumulator lanes that are
-// never stored, so it cannot leak NaNs into C.
-void packed_gemm_rows(MicroKernel micro, int i0, int mb, int n, int k,
+// A fresh kernel's tile is added to C; a seeded kernel updates a full C tile
+// in place and an edge tile through a zero-padded local copy. Zero padding
+// is only ever multiplied into accumulator lanes that are never stored, so
+// it cannot leak NaNs into C.
+void packed_gemm_rows(const Micro& micro, int i0, int mb, int n, int k,
                       AMode amode, const float* a, int m_full, BMode bmode,
                       const float* b, float* c) {
   const int mpanels = (mb + MR - 1) / MR;
@@ -445,12 +528,27 @@ void packed_gemm_rows(MicroKernel micro, int i0, int mb, int n, int k,
               j < jb ? b_at(bmode, b, n, k, kk, j0 + j) : 0.0f;
     }
     for (int p = 0; p < mpanels; ++p) {
-      micro(k, apack + static_cast<std::ptrdiff_t>(p) * MR * k, bpack, acc);
+      const float* ap = apack + static_cast<std::ptrdiff_t>(p) * MR * k;
       const int ib = std::min(MR, mb - p * MR);
-      for (int i = 0; i < ib; ++i) {
-        float* crow =
-            c + static_cast<std::ptrdiff_t>(i0 + p * MR + i) * n + j0;
-        for (int j = 0; j < jb; ++j) crow[j] += acc[i * NR + j];
+      float* ctile = c + static_cast<std::ptrdiff_t>(i0 + p * MR) * n + j0;
+      if (micro.seeded == nullptr) {
+        micro.fresh(k, ap, bpack, acc);
+        for (int i = 0; i < ib; ++i) {
+          float* crow = ctile + static_cast<std::ptrdiff_t>(i) * n;
+          for (int j = 0; j < jb; ++j) crow[j] += acc[i * NR + j];
+        }
+      } else if (ib == MR && jb == NR) {
+        micro.seeded(k, ap, bpack, ctile, n);
+      } else {
+        // Edge tile: seed a local copy, padding lanes with zeros.
+        std::fill(acc, acc + MR * NR, 0.0f);
+        for (int i = 0; i < ib; ++i)
+          std::copy_n(ctile + static_cast<std::ptrdiff_t>(i) * n, jb,
+                      acc + i * NR);
+        micro.seeded(k, ap, bpack, acc, NR);
+        for (int i = 0; i < ib; ++i)
+          std::copy_n(acc + i * NR, jb,
+                      ctile + static_cast<std::ptrdiff_t>(i) * n);
       }
     }
   }
@@ -465,35 +563,10 @@ constexpr int kParallelMinRows = 2 * MR;
 
 void dispatch_acc(int m, int n, int k, AMode amode, const float* a,
                   BMode bmode, const float* b, float* c) {
-  const ComputeBackend backend = active_backend();
-  const MicroKernel micro = backend == ComputeBackend::kSimd
-                                ? simd_micro_kernel()
-                                : &micro_scalar;
+  const Micro micro = backend_micro(active_backend(), bmode);
   auto rows = [&](int begin, int end) {
-    switch (backend) {
-      case ComputeBackend::kReference:
-        // The reference loops read A rows / write C rows relative to row 0;
-        // offset the operand bases so each range is self-contained.
-        if (amode == AMode::kNormal && bmode == BMode::kNormal)
-          ref_gemm_acc(end - begin, n, k,
-                       a + static_cast<std::ptrdiff_t>(begin) * k, b,
-                       c + static_cast<std::ptrdiff_t>(begin) * n);
-        else if (amode == AMode::kTransposed)
-          // A is k x m (full width): offset to the range's first column but
-          // keep striding k steps by the full m, not the range width.
-          ref_gemm_at_acc(end - begin, n, k, a + begin, m, b,
-                          c + static_cast<std::ptrdiff_t>(begin) * n);
-        else
-          ref_gemm_bt_acc(end - begin, n, k,
-                          a + static_cast<std::ptrdiff_t>(begin) * k, b,
-                          c + static_cast<std::ptrdiff_t>(begin) * n);
-        break;
-      case ComputeBackend::kBlocked:
-      case ComputeBackend::kSimd:
-        packed_gemm_rows(micro, begin, end - begin, n, k, amode, a, m, bmode,
-                         b, c);
-        break;
-    }
+    packed_gemm_rows(micro, begin, end - begin, n, k, amode, a, m, bmode, b,
+                     c);
   };
   if (gemm_workers() > 1 && m >= kParallelMinRows)
     parallel_ranges(m, MR, rows);

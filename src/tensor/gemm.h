@@ -1,9 +1,9 @@
-// Small blocked GEMM powering conv (im2col) and linear layers, plus the
+// Small packed-panel GEMM powering conv (im2col) and linear layers, plus the
 // direct depthwise conv kernel that replaces its m = 1 case.
 //
-// Single-threaded (the reproduction environment has one core); blocked for
-// cache friendliness, accumulates in float. Not meant to compete with BLAS,
-// but fast enough to train the mini model zoo in-process.
+// Each call runs the active compute backend's micro-kernel (tensor/backend.h,
+// gemm.cpp) and accumulates in float. Not meant to compete with BLAS, but
+// fast enough to train the mini model zoo in-process.
 #pragma once
 
 #include <cstddef>

@@ -2,9 +2,10 @@
 // between the reference / blocked / simd kernel families, per-backend
 // bit-exact self-consistency (including under the intra-forward worker
 // pool), the reference backend's documented zero-skip vs IEEE non-finite
-// propagation, conv2d's data paths (pointer im2col, pointwise, direct
-// depthwise) bit-identical to im2col + gemm() per backend, conv2d geometry
-// validation, and backend-scoped stage caching (forward products from
+// propagation, the reference and blocked kernels bit-identical to copies of
+// the loops that define their chains, conv2d's data paths (pointer im2col,
+// pointwise, direct depthwise) bit-identical to im2col + gemm() per
+// backend, conv2d geometry validation, and backend-scoped stage caching (forward products from
 // different kernels never mix, in memory or on disk).
 #include <gtest/gtest.h>
 
@@ -328,6 +329,182 @@ TEST(BackendNonFinite, NonReferenceBackendsPropagateNaNInputs) {
           << backend_name(backend);  // row 1 poisoned
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Chain oracles: the packed engine reproduces each backend's loops bit for bit
+// ---------------------------------------------------------------------------
+
+// The reference backend's historical loops, kept here as the oracle its
+// packed micro-kernel must match: C itself is the accumulator, zero A
+// elements skip their term, and the k/n blocking does not change any
+// element's k-ascending chain.
+constexpr int kOracleBlockK = 128;
+constexpr int kOracleBlockN = 256;
+
+void oracle_ref_gemm_acc(int m, int n, int k, const float* a, const float* b,
+                         float* c) {
+  for (int k0 = 0; k0 < k; k0 += kOracleBlockK) {
+    const int k1 = std::min(k, k0 + kOracleBlockK);
+    for (int n0 = 0; n0 < n; n0 += kOracleBlockN) {
+      const int n1 = std::min(n, n0 + kOracleBlockN);
+      for (int i = 0; i < m; ++i) {
+        float* crow = c + static_cast<std::ptrdiff_t>(i) * n;
+        const float* arow = a + static_cast<std::ptrdiff_t>(i) * k;
+        for (int kk = k0; kk < k1; ++kk) {
+          const float av = arow[kk];
+          if (av == 0.0f) continue;
+          const float* brow = b + static_cast<std::ptrdiff_t>(kk) * n;
+          for (int j = n0; j < n1; ++j) crow[j] += av * brow[j];
+        }
+      }
+    }
+  }
+}
+
+void oracle_ref_gemm_at_acc(int m, int n, int k, const float* a,
+                            const float* b, float* c) {
+  for (int kk = 0; kk < k; ++kk) {
+    const float* arow = a + static_cast<std::ptrdiff_t>(kk) * m;
+    const float* brow = b + static_cast<std::ptrdiff_t>(kk) * n;
+    for (int i = 0; i < m; ++i) {
+      const float av = arow[i];
+      if (av == 0.0f) continue;
+      float* crow = c + static_cast<std::ptrdiff_t>(i) * n;
+      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+void oracle_ref_gemm_bt_acc(int m, int n, int k, const float* a,
+                            const float* b, float* c) {
+  for (int i = 0; i < m; ++i) {
+    const float* arow = a + static_cast<std::ptrdiff_t>(i) * k;
+    float* crow = c + static_cast<std::ptrdiff_t>(i) * n;
+    for (int j = 0; j < n; ++j) {
+      const float* brow = b + static_cast<std::ptrdiff_t>(j) * k;
+      float acc = 0.0f;
+      for (int kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
+      crow[j] += acc;
+    }
+  }
+}
+
+// The blocked chain for every variant: a fresh zero accumulator per element,
+// mul then add in k-ascending order with no skip, added to C once.
+void oracle_fresh_acc(Variant v, int m, int n, int k, const float* a,
+                      const float* b, float* c) {
+  const bool at = v == Variant::kGemmAt || v == Variant::kGemmAtAcc;
+  const bool bt = v == Variant::kGemmBtAcc;
+  for (int i = 0; i < m; ++i)
+    for (int j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (int kk = 0; kk < k; ++kk) {
+        const float av = at ? a[static_cast<std::ptrdiff_t>(kk) * m + i]
+                            : a[static_cast<std::ptrdiff_t>(i) * k + kk];
+        const float bv = bt ? b[static_cast<std::ptrdiff_t>(j) * k + kk]
+                            : b[static_cast<std::ptrdiff_t>(kk) * n + j];
+        acc += av * bv;
+      }
+      c[static_cast<std::ptrdiff_t>(i) * n + j] += acc;
+    }
+}
+
+// What `backend` (reference or blocked) must compute for variant v.
+std::vector<float> oracle_variant(Variant v, ComputeBackend backend, int m,
+                                  int n, int k, const std::vector<float>& a,
+                                  const std::vector<float>& b,
+                                  std::vector<float> c) {
+  if (v == Variant::kGemm || v == Variant::kGemmAt)
+    std::fill(c.begin(), c.end(), 0.0f);
+  if (backend == ComputeBackend::kBlocked)
+    oracle_fresh_acc(v, m, n, k, a.data(), b.data(), c.data());
+  else if (v == Variant::kGemmBtAcc)
+    oracle_ref_gemm_bt_acc(m, n, k, a.data(), b.data(), c.data());
+  else if (v == Variant::kGemmAt || v == Variant::kGemmAtAcc)
+    oracle_ref_gemm_at_acc(m, n, k, a.data(), b.data(), c.data());
+  else
+    oracle_ref_gemm_acc(m, n, k, a.data(), b.data(), c.data());
+  return c;
+}
+
+// Operands that exercise every branch of the chains: about 20% of A is +-0
+// (the reference skip), B holds +-0, +-inf and NaN in a few places, and C
+// starts with -0, +-inf and NaN entries (the seeded tile must keep a -0
+// that every term skips). Each NaN is the one 0 x inf produces, so where two
+// NaNs meet, the compiler's choice of which operand survives (gemm.h)
+// cannot show in the bits.
+struct OracleOperands {
+  std::vector<float> a, b, c;
+};
+
+OracleOperands oracle_operands(int m, int n, int k, Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  volatile float zero = 0.0f;
+  const float nan = zero * inf;
+  OracleOperands ops{random_vec(static_cast<std::size_t>(m) * k, rng),
+                     random_vec(static_cast<std::size_t>(k) * n, rng),
+                     random_vec(static_cast<std::size_t>(m) * n, rng)};
+  for (float& x : ops.a) {
+    const float u = rng.uniform_f(0.0f, 1.0f);
+    if (u < 0.1f) x = 0.0f;
+    else if (u < 0.2f) x = -0.0f;
+  }
+  for (float& x : ops.b) {
+    const float u = rng.uniform_f(0.0f, 1.0f);
+    if (u < 0.05f) x = 0.0f;
+    else if (u < 0.1f) x = -0.0f;
+  }
+  // About one non-finite per three B columns' worth of entries, so most
+  // chains stay finite and the skip decides the rest.
+  const float specials[] = {inf, -inf, nan};
+  const int nonfinite = 1 + n / 3;
+  for (int s = 0; s < nonfinite; ++s) {
+    const auto at = static_cast<std::size_t>(
+        rng.uniform_f(0.0f, 1.0f) * static_cast<float>(ops.b.size()));
+    ops.b[std::min(at, ops.b.size() - 1)] = specials[s % 3];
+  }
+  const float c_specials[] = {-0.0f, -0.0f, inf, -inf, nan};
+  for (std::size_t i = 0; i < ops.c.size(); ++i)
+    if (i % 4 == 1) ops.c[i] = c_specials[(i / 4) % 5];
+  return ops;
+}
+
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+TEST(BackendOracle, ReferenceAndBlockedReproduceTheirLoopsBitForBit) {
+  ensure_gemm_pool_helpers(kForcedHelpers);
+  Rng rng(1234);
+  int compared = 0;
+  for (const int m : {1, 3, 5, 17})
+    for (const int n : {1, 15, 17, 33})
+      for (const int k : {1, 127, 129, 300})
+        for (const Variant v : kAllVariants) {
+          const OracleOperands ops = oracle_operands(m, n, k, rng);
+          for (const ComputeBackend backend :
+               {ComputeBackend::kReference, ComputeBackend::kBlocked}) {
+            const auto want = oracle_variant(v, backend, m, n, k, ops.a,
+                                             ops.b, ops.c);
+            const auto serial =
+                run_variant(v, backend, m, n, k, ops.a, ops.b, ops.c);
+            std::vector<float> fanned;
+            {
+              const GemmParallelScope fan(3);
+              fanned = run_variant(v, backend, m, n, k, ops.a, ops.b, ops.c);
+            }
+            EXPECT_TRUE(same_bits(want, serial))
+                << variant_name(v) << " " << backend_name(backend)
+                << " serial m=" << m << " n=" << n << " k=" << k;
+            EXPECT_TRUE(same_bits(want, fanned))
+                << variant_name(v) << " " << backend_name(backend)
+                << " 3 workers m=" << m << " n=" << n << " k=" << k;
+            ++compared;
+          }
+        }
+  EXPECT_EQ(compared, 4 * 4 * 4 * 5 * 2);
 }
 
 // ---------------------------------------------------------------------------

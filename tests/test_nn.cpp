@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
+#include <vector>
 
 #include "nn/layers.h"
 #include "nn/ops.h"
@@ -393,6 +397,148 @@ TEST(GradCheckOps, AttentionCausalMasking) {
   }
   // ...but position 3 does change.
   EXPECT_GT(std::fabs(y->value.at3(0, 3, 0) - y2->value.at3(0, 3, 0)), 1e-6f);
+}
+
+// attention_core's scalar loops as they were before the forward was laid
+// out in lanes: the oracle the op must match bit for bit. Inputs are
+// [B, T, D] flat buffers; dout is the upstream gradient.
+struct AttentionOracle {
+  std::vector<float> out, dq, dk, dv;
+};
+
+AttentionOracle attention_oracle(const std::vector<float>& q,
+                                 const std::vector<float>& k,
+                                 const std::vector<float>& v,
+                                 const std::vector<float>& dout, int b, int t,
+                                 int d, int heads, bool causal) {
+  const int dh = d / heads;
+  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
+  auto at = [t, d](int bi, int tt, int off, int e) {
+    return (static_cast<std::size_t>(bi) * t + tt) * d + off + e;
+  };
+  AttentionOracle r;
+  r.out.assign(q.size(), 0.0f);
+  r.dq.assign(q.size(), 0.0f);
+  r.dk.assign(q.size(), 0.0f);
+  r.dv.assign(q.size(), 0.0f);
+  std::vector<float> probs(static_cast<std::size_t>(b) * heads * t * t);
+  for (int bi = 0; bi < b; ++bi)
+    for (int h = 0; h < heads; ++h) {
+      const int off = h * dh;
+      float* prow_base =
+          probs.data() + (static_cast<std::size_t>(bi) * heads + h) * t * t;
+      for (int i = 0; i < t; ++i) {
+        float* prow = prow_base + static_cast<std::size_t>(i) * t;
+        const int jmax = causal ? i + 1 : t;
+        float mx = -std::numeric_limits<float>::infinity();
+        for (int j = 0; j < jmax; ++j) {
+          float s = 0.0f;
+          for (int e = 0; e < dh; ++e)
+            s += q[at(bi, i, off, e)] * k[at(bi, j, off, e)];
+          prow[j] = s * inv_sqrt;
+          mx = std::max(mx, prow[j]);
+        }
+        double denom = 0.0;
+        for (int j = 0; j < jmax; ++j) {
+          prow[j] = std::exp(prow[j] - mx);
+          denom += prow[j];
+        }
+        const float inv = static_cast<float>(1.0 / denom);
+        for (int j = 0; j < jmax; ++j) prow[j] *= inv;
+        for (int j = jmax; j < t; ++j) prow[j] = 0.0f;
+        for (int e = 0; e < dh; ++e) {
+          float acc = 0.0f;
+          for (int j = 0; j < jmax; ++j) acc += prow[j] * v[at(bi, j, off, e)];
+          r.out[at(bi, i, off, e)] = acc;
+        }
+      }
+    }
+  std::vector<float> dp(static_cast<std::size_t>(t));
+  for (int bi = 0; bi < b; ++bi)
+    for (int h = 0; h < heads; ++h) {
+      const int off = h * dh;
+      const float* prow_base =
+          probs.data() + (static_cast<std::size_t>(bi) * heads + h) * t * t;
+      for (int i = 0; i < t; ++i) {
+        const float* prow = prow_base + static_cast<std::size_t>(i) * t;
+        const int jmax = causal ? i + 1 : t;
+        double dot = 0.0;
+        for (int j = 0; j < jmax; ++j) {
+          float acc = 0.0f;
+          for (int e = 0; e < dh; ++e)
+            acc += dout[at(bi, i, off, e)] * v[at(bi, j, off, e)];
+          dp[static_cast<std::size_t>(j)] = acc;
+          dot += static_cast<double>(acc) * prow[j];
+        }
+        for (int j = 0; j < jmax; ++j) {
+          const float pij = prow[j];
+          if (pij == 0.0f) continue;
+          for (int e = 0; e < dh; ++e)
+            r.dv[at(bi, j, off, e)] += pij * dout[at(bi, i, off, e)];
+        }
+        for (int j = 0; j < jmax; ++j) {
+          const float ds = prow[j] * (dp[static_cast<std::size_t>(j)] -
+                                      static_cast<float>(dot)) *
+                           inv_sqrt;
+          if (ds == 0.0f) continue;
+          for (int e = 0; e < dh; ++e) {
+            r.dq[at(bi, i, off, e)] += ds * k[at(bi, j, off, e)];
+            r.dk[at(bi, j, off, e)] += ds * q[at(bi, i, off, e)];
+          }
+        }
+      }
+    }
+  return r;
+}
+
+bool same_bits(const Tensor& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), y.size() * sizeof(float)) == 0;
+}
+
+TEST(AttentionCore, ForwardAndGradsMatchTheScalarLoopsBitForBit) {
+  Rng rng(77);
+  const int b = 2;
+  int cases = 0;
+  for (const bool causal : {false, true})
+    for (const int t : {1, 7, 64, 65})
+      for (const int heads : {1, 4})
+        for (const int dh : {3, 8}) {
+          const int d = heads * dh;
+          // About 15% of q/k/v entries are +-0, so products of both signs
+          // of zero start and join the dot-product chains.
+          auto input = [&] {
+            Tensor x = random_tensor({b, t, d}, rng, -1.5f, 1.5f);
+            for (float& val : x.vec()) {
+              const float u = rng.uniform_f(0.0f, 1.0f);
+              if (u < 0.08f) val = 0.0f;
+              else if (u < 0.15f) val = -0.0f;
+            }
+            return x;
+          };
+          const Tensor qv = input(), kv = input(), vv = input();
+          const Tensor dout = random_tensor({b, t, d}, rng);
+          Tape tape;
+          Node* qn = tape.input(qv, /*requires_grad=*/true);
+          Node* kn = tape.input(kv, /*requires_grad=*/true);
+          Node* vn = tape.input(vv, /*requires_grad=*/true);
+          Node* y = attention_core(tape, qn, kn, vn, heads, causal);
+          y->grad = dout;
+          y->backprop();
+          const AttentionOracle want =
+              attention_oracle(qv.vec(), kv.vec(), vv.vec(), dout.vec(), b, t,
+                               d, heads, causal);
+          const std::string where = std::string(causal ? "causal" : "full") +
+                                    " T=" + std::to_string(t) + " heads=" +
+                                    std::to_string(heads) +
+                                    " dh=" + std::to_string(dh);
+          EXPECT_TRUE(same_bits(y->value, want.out)) << "out " << where;
+          EXPECT_TRUE(same_bits(qn->grad, want.dq)) << "dq " << where;
+          EXPECT_TRUE(same_bits(kn->grad, want.dk)) << "dk " << where;
+          EXPECT_TRUE(same_bits(vn->grad, want.dv)) << "dv " << where;
+          ++cases;
+        }
+  EXPECT_EQ(cases, 2 * 4 * 2 * 2);
 }
 
 TEST(GradCheckOps, Embedding) {

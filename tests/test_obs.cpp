@@ -7,7 +7,10 @@
 // the TraceSession file flush, and the EventLog sequence contract.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -21,6 +24,7 @@
 #include "core/staged_eval.h"
 #include "core/synthetic_task.h"
 #include "core/sweep.h"
+#include "models/zoo.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -60,6 +64,30 @@ std::string report_bytes(const AxisReport& report) {
 // Inertness: off by default, and enabling changes no output byte
 // ---------------------------------------------------------------------------
 
+// Trains a one-epoch MCUNet into a fresh model cache, then loads it back:
+// one get_classifier call down each branch of the zoo.
+void train_then_load_tiny_classifier() {
+  const char* prev_env = std::getenv("SYSNOISE_CACHE_DIR");
+  const std::string prev = prev_env != nullptr ? prev_env : "";
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("sysnoise_obs_zoo_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  ::setenv("SYSNOISE_CACHE_DIR", dir.c_str(), 1);
+  models::TrainConfig one_epoch;
+  one_epoch.epochs = 1;
+  const auto trained =
+      models::get_classifier("MCUNet", "obs", nullptr, &one_epoch);
+  const auto loaded =
+      models::get_classifier("MCUNet", "obs", nullptr, &one_epoch);
+  EXPECT_EQ(trained.trained_acc, loaded.trained_acc);
+  if (prev_env != nullptr)
+    ::setenv("SYSNOISE_CACHE_DIR", prev.c_str(), 1);
+  else
+    ::unsetenv("SYSNOISE_CACHE_DIR");
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(ObsTest, DisabledTracingRecordsNothing) {
   EXPECT_FALSE(obs::trace_enabled());
   {
@@ -68,6 +96,42 @@ TEST_F(ObsTest, DisabledTracingRecordsNothing) {
     span.attr("ignored", std::string("value"));
   }
   EXPECT_EQ(obs::trace_drain().at("traceEvents").size(), 0u);
+
+  // The zoo's spans: zoo.train, zoo.load and zoo.baseline_eval (a tiny
+  // classifier trained, then loaded), and a detector and a segmenter from
+  // the shared cache.
+  train_then_load_tiny_classifier();
+  models::get_detector("RetinaNet-MobileNet");
+  models::get_segmenter("UNet");
+  EXPECT_EQ(obs::trace_drain().at("traceEvents").size(), 0u);
+}
+
+TEST_F(ObsTest, ZooSpansCoverTrainLoadAndBaselineEval) {
+  obs::trace_enable();
+  train_then_load_tiny_classifier();
+  obs::trace_disable();
+  const util::Json trace = obs::trace_drain();
+  const util::Json summary = obs::summarize_events(trace);
+  const util::Json& spans = summary.at("spans");
+  // A failed load attempt precedes the training; every call ends in the
+  // trained-metric eval.
+  EXPECT_EQ(spans.at("zoo.train").at("count").as_number(), 1.0);
+  EXPECT_EQ(spans.at("zoo.load").at("count").as_number(), 2.0);
+  EXPECT_EQ(spans.at("zoo.baseline_eval").at("count").as_number(), 2.0);
+  bool saw_attrs = false;
+  const util::Json& events = trace.at("traceEvents");
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const util::Json& ev = events.at(i);
+    if (ev.at("name").as_string() != "zoo.train" ||
+        ev.at("ph").as_string() != "E")
+      continue;
+    const util::Json& args = ev.at("args");
+    EXPECT_EQ(args.at("model").as_string(), "MCUNet");
+    EXPECT_EQ(args.at("tag").as_string(), "obs");
+    EXPECT_EQ(args.at("epochs").as_string(), "1");
+    saw_attrs = true;
+  }
+  EXPECT_TRUE(saw_attrs);
 }
 
 TEST_F(ObsTest, TracedSweepIsByteIdenticalToUntraced) {
