@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
   const bench::BenchCli cli = bench::parse_cli(argc, argv, "fig4_mitigations");
   bench::banner("Fig. 4 — augmentations & adversarial training vs SysNoise",
                 "Sec. 4.3, Fig. 4");
+  bench::BenchTrace trace(cli);
 
   const PipelineSpec spec = models::cls_pipeline_spec();
   const std::string model = "ResNet-S";

@@ -1,16 +1,16 @@
 // Library micro-benchmarks (google-benchmark): throughput of the
 // substrates the harness exercises on every sample — JPEG decode per
-// vendor, the resize kernels, color round trips, conv inference, and the
-// full-table sweep engine (serial baseline vs memoized/parallel vs staged).
+// vendor, the resize kernels, color round trips, GEMM per compute backend
+// and conv inference.
 //
 // Besides the google-benchmark tables, the binary emits a machine-readable
-// BENCH_perf.json (serial vs memoized vs staged sweep timings plus
-// stage-cache accounting and bit-identity checks, per-backend kernel
-// timings, and a per-layer ledger of conv2d's data paths on MCUNet's
-// shapes with the whole-forward time they add up to) so the perf trajectory is
-// tracked across PRs — the CI perf-gate job asserts its invariants on every
-// push. Set SYSNOISE_PERF_JSON to override the output path (default:
-// $SYSNOISE_RESULTS_DIR/BENCH_perf.json).
+// BENCH_perf.json (per-backend kernel timings and bit-identity checks, and a
+// per-layer ledger of conv2d's data paths on MCUNet's shapes with the
+// whole-forward time they add up to) so the perf trajectory is tracked
+// across PRs — the CI perf-gate job asserts its invariants on every push.
+// Sweep-engine timings are not here: they come from real table benches and
+// perfbench/, not from a synthetic task. Set SYSNOISE_PERF_JSON to override
+// the output path (default: $SYSNOISE_RESULTS_DIR/BENCH_perf.json).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -28,11 +27,6 @@
 
 #include "bench/bench_util.h"
 #include "color/yuv.h"
-#include "core/disk_stage_cache.h"
-#include "core/executor.h"
-#include "core/plan.h"
-#include "core/staged_eval.h"
-#include "core/synthetic_task.h"
 #include "image/synthetic.h"
 #include "jpeg/codec.h"
 #include "models/classifiers.h"
@@ -121,70 +115,6 @@ void BM_ClassifierForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassifierForward);
 
-// Detection-shaped staged SyntheticTasks with per-stage busywork mirroring
-// where real evaluations spend time (pre-processing dominates, the forward
-// pass is substantial, post-processing is cheap), so sweep-engine
-// scheduling and stage sharing can be measured without training a zoo.
-core::SyntheticStagedTask make_sweep_task(core::TaskKind kind) {
-  return {kind, /*has_maxpool=*/true, /*pre_rounds=*/4000,
-          /*fwd_rounds=*/1000, /*post_rounds=*/50};
-}
-
-int pool_threads() {
-  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-}
-
-// Old-runner behavior: sweep and stepwise each serial, unmemoized, each
-// config re-running the full preprocess -> forward -> metric chain, and
-// each call re-evaluating the trained baseline.
-void BM_FullTableSweepSerial(benchmark::State& state) {
-  const auto task = make_sweep_task(core::TaskKind::kDetection);
-  core::SweepOptions opts;
-  opts.threads = 1;
-  opts.memoize = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::sweep(task, opts));
-    benchmark::DoNotOptimize(core::stepwise(task, opts));
-  }
-}
-BENCHMARK(BM_FullTableSweepSerial)->Unit(benchmark::kMillisecond);
-
-// PR 1 engine: thread-pool fan-out plus a shared cache seeded with the
-// trained metric (as the zoo provides it), reused across sweep + stepwise —
-// but every non-memoized config still runs the full monolithic chain.
-void BM_FullTableSweepMemoParallel(benchmark::State& state) {
-  const auto task = make_sweep_task(core::TaskKind::kDetection);
-  const double trained = task.evaluate(SysNoiseConfig::training_default());
-  for (auto _ : state) {
-    core::SweepCache cache;
-    cache.seed(task, SysNoiseConfig::training_default(), trained);
-    core::SweepOptions opts;
-    opts.threads = pool_threads();
-    opts.cache = &cache;
-    benchmark::DoNotOptimize(core::sweep(task, opts));
-    benchmark::DoNotOptimize(core::stepwise(task, opts));
-  }
-}
-BENCHMARK(BM_FullTableSweepMemoParallel)->Unit(benchmark::kMillisecond);
-
-// Staged engine: same memo + pool, plus stage-keyed intermediate sharing —
-// pre-processing runs once per preprocess key and the detection post-proc
-// axis reuses cached forward outputs.
-void BM_FullTableSweepStaged(benchmark::State& state) {
-  const auto task = make_sweep_task(core::TaskKind::kDetection);
-  const double trained = task.evaluate(SysNoiseConfig::training_default());
-  for (auto _ : state) {
-    core::SweepCache cache;
-    cache.seed(task, SysNoiseConfig::training_default(), trained);
-    core::SweepOptions opts;
-    opts.threads = pool_threads();
-    opts.cache = &cache;
-    benchmark::DoNotOptimize(core::staged_sweep(task, opts));
-    benchmark::DoNotOptimize(core::staged_stepwise(task, opts));
-  }
-}
-BENCHMARK(BM_FullTableSweepStaged)->Unit(benchmark::kMillisecond);
-
 // ---------------------------------------------------------------------------
 // BENCH_perf.json: the cross-PR perf trajectory record
 // ---------------------------------------------------------------------------
@@ -199,125 +129,6 @@ double time_ms(const std::function<void()>& fn, int reps = 3) {
                     std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
   return best;
-}
-
-bool reports_identical(const core::AxisReport& a, const core::AxisReport& b) {
-  if (a.trained != b.trained || a.combined != b.combined ||
-      a.axes.size() != b.axes.size())
-    return false;
-  for (std::size_t i = 0; i < a.axes.size(); ++i) {
-    if (a.axes[i].options.size() != b.axes[i].options.size()) return false;
-    for (std::size_t j = 0; j < a.axes[i].options.size(); ++j)
-      if (a.axes[i].options[j].delta != b.axes[i].options[j].delta) return false;
-  }
-  return true;
-}
-
-std::string perf_json_workload(const char* name, core::TaskKind kind) {
-  const auto task = make_sweep_task(kind);
-
-  // The CI perf-gate hard-fails on the staged-vs-serial comparison, so the
-  // gated timings take the best of more repetitions than the informational
-  // ones — a noisy shared runner must not flip the verdict.
-  constexpr int kGatedReps = 5;
-
-  core::SweepOptions serial;
-  serial.threads = 1;
-  serial.memoize = false;
-  core::AxisReport serial_report;
-  const double serial_ms = time_ms(
-      [&] { serial_report = core::sweep(task, serial); }, kGatedReps);
-
-  const double memo_ms = time_ms([&] {
-    core::SweepCache cache;
-    core::SweepOptions opts;
-    opts.threads = pool_threads();
-    opts.cache = &cache;
-    core::sweep(task, opts);
-  });
-
-  core::AxisReport staged_report;
-  core::StageStats stats;
-  const double staged_ms = time_ms(
-      [&] {
-        core::SweepCache cache;
-        core::SweepOptions opts;
-        opts.threads = pool_threads();
-        opts.cache = &cache;
-        stats = {};
-        staged_report = core::staged_sweep(task, opts, &stats);
-      },
-      kGatedReps);
-
-  std::ostringstream os;
-  os << "    {\"task\": \"" << name << "\",\n"
-     << "     \"serial_sweep_ms\": " << serial_ms << ",\n"
-     << "     \"memo_parallel_sweep_ms\": " << memo_ms << ",\n"
-     << "     \"staged_sweep_ms\": " << staged_ms << ",\n"
-     << "     \"staged_speedup_vs_serial\": " << serial_ms / staged_ms << ",\n"
-     << "     \"staged_strictly_faster_than_serial\": "
-     << (staged_ms < serial_ms ? "true" : "false") << ",\n"
-     << "     \"bit_identical_to_serial\": "
-     << (reports_identical(serial_report, staged_report) ? "true" : "false")
-     << ",\n"
-     << "     \"stage_stats\": {\"evaluations\": " << stats.evaluations
-     << ", \"preprocess_misses\": " << stats.preprocess_misses
-     << ", \"preprocess_hits\": " << stats.preprocess_hits
-     << ", \"forward_misses\": " << stats.forward_misses
-     << ", \"forward_hits\": " << stats.forward_hits << "}}";
-  return os.str();
-}
-
-// Cold-vs-warm disk StageCache: the same staged sweep run against an empty
-// stage directory (cold: every preprocess product computed and persisted)
-// and again in a fresh executor/memo against the populated directory
-// (warm: every forward product loaded, so zero preprocess and zero forward
-// computations).
-std::string perf_json_disk_cache() {
-  const auto task = make_sweep_task(core::TaskKind::kDetection);
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "sysnoise_perf_stage_cache")
-          .string();
-  std::filesystem::remove_all(dir);
-  const auto plan = core::plan_sweep(task, core::AxisRegistry::global());
-
-  auto timed_run = [&](core::StageStats* stats) {
-    core::DiskStageCache disk(dir);
-    core::StagedExecutor ex(stats, &disk);
-    core::SweepCache cache;
-    core::SweepOptions opts;
-    opts.threads = pool_threads();
-    opts.cache = &cache;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto metrics = ex.execute(task, plan, opts);
-    const auto t1 = std::chrono::steady_clock::now();
-    (void)core::assemble_report(plan, metrics);
-    return std::chrono::duration<double, std::milli>(t1 - t0).count();
-  };
-
-  core::StageStats cold_stats, warm_stats;
-  const double cold_ms = timed_run(&cold_stats);
-  const double warm_ms = timed_run(&warm_stats);
-  std::filesystem::remove_all(dir);
-
-  std::ostringstream os;
-  os << "  \"disk_stage_cache\": {\n"
-     << "    \"cold_ms\": " << cold_ms << ",\n"
-     << "    \"warm_ms\": " << warm_ms << ",\n"
-     << "    \"cold_preprocess_computed\": " << cold_stats.preprocess_computed
-     << ",\n"
-     << "    \"cold_persisted\": " << cold_stats.preprocess_persisted << ",\n"
-     << "    \"warm_preprocess_disk_hits\": " << warm_stats.preprocess_disk_hits
-     << ",\n"
-     << "    \"warm_forward_disk_hits\": " << warm_stats.forward_disk_hits
-     << ",\n"
-     << "    \"warm_preprocess_computed\": " << warm_stats.preprocess_computed
-     << ",\n"
-     << "    \"warm_forward_computed\": " << warm_stats.forward_computed
-     << ",\n"
-     << "    \"warm_skips_all_preprocessing\": "
-     << (warm_stats.preprocess_computed == 0 ? "true" : "false") << "\n  }";
-  return os.str();
 }
 
 // Per-backend compute-kernel microbench. The GEMM shape mirrors the im2col
@@ -543,17 +354,12 @@ std::string perf_json_conv_paths() {
 
 bool write_perf_json() {
   std::ostringstream os;
-  os << "{\n  \"bench\": \"sweep_engine\",\n"
-     << "  \"hardware_threads\": " << pool_threads() << ",\n"
+  os << "{\n  \"bench\": \"perf_micro\",\n"
+     << "  \"hardware_threads\": "
+     << std::max(1u, std::thread::hardware_concurrency()) << ",\n"
      << "  \"simd_isa\": \"" << simd_isa_name() << "\",\n"
-     << "  \"workloads\": [\n"
-     << perf_json_workload("classification", core::TaskKind::kClassification)
-     << ",\n"
-     << perf_json_workload("detection", core::TaskKind::kDetection) << "\n"
-     << "  ],\n"
      << perf_json_backends() << ",\n"
-     << perf_json_conv_paths() << ",\n"
-     << perf_json_disk_cache() << "\n}\n";
+     << perf_json_conv_paths() << "\n}\n";
 
   const char* override_path = std::getenv("SYSNOISE_PERF_JSON");
   const std::string path = override_path != nullptr

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   const bench::BenchCli cli =
       bench::parse_cli(argc, argv, "table9_learned_decoder");
   bench::banner("Table 9 — learning-based decoder", "Appendix B, Table 9");
+  bench::BenchTrace trace(cli);
 
   const std::string model = "ResNet-S";
   const auto& ds = models::benchmark_cls_dataset();

@@ -193,6 +193,13 @@ MetricMap ThreadPoolExecutor::execute(const EvalTask& task,
 
 MetricMap StagedExecutor::execute(const EvalTask& task, const SweepPlan& plan,
                                   const SweepOptions& opts) const {
+  // The calling thread's view of the sweep; the stage spans above run on
+  // the pool threads it fans out to.
+  obs::TraceSpan span("staged.execute");
+  if (span.active()) {
+    span.attr("task", task.name());
+    span.attr("configs", plan.configs.size());
+  }
   const auto* staged = dynamic_cast<const StagedEvalTask*>(&task);
   if (staged == nullptr) {
     // Not a staged task: the monolithic chain is the only evaluation there

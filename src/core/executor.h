@@ -37,8 +37,9 @@ class Executor {
  public:
   virtual ~Executor() = default;
   virtual const char* name() const = 0;
-  // Evaluate every config in `plan` (metric-memoized per SweepOptions) and
-  // return metric_key -> metric covering at least those configs.
+  // Evaluate every distinct config in `plan` once (skipping those already in
+  // SweepOptions' cache) and return metric_key -> metric covering at least
+  // those configs.
   virtual MetricMap execute(const EvalTask& task, const SweepPlan& plan,
                             const SweepOptions& opts = {}) const = 0;
 };

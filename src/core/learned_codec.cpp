@@ -3,6 +3,7 @@
 #include "models/zoo.h"
 #include "nn/optim.h"
 #include "nn/serialize.h"
+#include "obs/trace.h"
 
 namespace sysnoise::core {
 
@@ -88,8 +89,19 @@ std::shared_ptr<LearnedCodec> get_learned_codec() {
     ParamRefs params;
     c->collect(params);
     const std::string path = models::cache_dir() + "/learned_codec_v1.weights";
-    if (!load_params(path, params)) {
-      c->train(models::benchmark_cls_dataset().train, /*epochs=*/12, 2e-3f);
+    constexpr int kEpochs = 12;
+    bool loaded = false;
+    {
+      obs::TraceSpan span("zoo.load");
+      models::zoo_span_attrs(span, "LearnedCodec", "", kEpochs);
+      loaded = load_params(path, params);
+    }
+    if (!loaded) {
+      {
+        obs::TraceSpan span("zoo.train");
+        models::zoo_span_attrs(span, "LearnedCodec", "", kEpochs);
+        c->train(models::benchmark_cls_dataset().train, kEpochs, 2e-3f);
+      }
       save_params(path, params);
     }
     return c;

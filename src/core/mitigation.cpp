@@ -9,6 +9,7 @@
 #include "models/zoo.h"
 #include "nn/optim.h"
 #include "nn/serialize.h"
+#include "obs/trace.h"
 
 namespace sysnoise::core {
 
@@ -241,6 +242,61 @@ models::ClsPreprocessor augmented_preprocessor(const PipelineSpec& spec,
   };
 }
 
+namespace {
+
+// FGSM adversarial training (Madry-style single-step inner maximizer).
+void fgsm_train(models::Classifier& model, nn::ParamRefs& params,
+                const data::ClsDataset& ds, const PipelineSpec& spec,
+                const models::TrainConfig& cfg, float epsilon) {
+  nn::Sgd opt(params, cfg.lr, cfg.momentum, cfg.weight_decay);
+  Rng train_rng(7);
+  const auto prep = models::default_cls_preprocessor(spec);
+  const int n = static_cast<int>(ds.train.size());
+  const int steps_per_epoch = (n + cfg.batch_size - 1) / cfg.batch_size;
+  const int total = cfg.epochs * steps_per_epoch;
+  int step = 0;
+  for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
+    const auto order = train_rng.permutation(n);
+    for (int b = 0; b < n; b += cfg.batch_size) {
+      const int bs = std::min(cfg.batch_size, n - b);
+      std::vector<Tensor> inputs;
+      std::vector<int> labels;
+      for (int i = 0; i < bs; ++i) {
+        const auto& s = ds.train[static_cast<std::size_t>(order[static_cast<std::size_t>(b + i)])];
+        inputs.push_back(prep(s, train_rng));
+        labels.push_back(s.label);
+      }
+      Tensor batch = models::stack_batch(inputs);
+
+      // Pass 1: input gradient for FGSM.
+      {
+        nn::Tape t;
+        t.training = true;
+        opt.zero_grad();
+        nn::Node* x = t.input(batch, /*requires_grad=*/true);
+        nn::Node* loss = nn::softmax_cross_entropy(
+            t, model.forward(t, x, nn::BnMode::kTrain), labels);
+        t.backward(loss);
+        for (std::size_t i = 0; i < batch.size(); ++i)
+          batch[i] += epsilon * (x->grad[i] > 0.0f ? 1.0f : -1.0f);
+      }
+      // Pass 2: train on the perturbed batch.
+      nn::Tape t;
+      t.training = true;
+      opt.set_lr(nn::cosine_lr(cfg.lr, step, total));
+      opt.zero_grad();
+      nn::Node* loss = nn::softmax_cross_entropy(
+          t, model.forward(t, t.input(batch), nn::BnMode::kTrain), labels);
+      t.backward(loss);
+      nn::clip_grad_norm(params, cfg.clip_norm);
+      opt.step();
+      ++step;
+    }
+  }
+}
+
+}  // namespace
+
 models::TrainedClassifier adversarial_train_classifier(const std::string& name,
                                                        float epsilon) {
   const auto& ds = models::benchmark_cls_dataset();
@@ -258,61 +314,29 @@ models::TrainedClassifier adversarial_train_classifier(const std::string& name,
   std::vector<const Tensor*> cstate(state.begin(), state.end());
 
   const std::string stem = models::cache_dir() + "/cls_" + name + "_adv_v1";
-  if (!nn::load_params(stem + ".weights", params, state)) {
-    // FGSM adversarial training (Madry-style single-step inner maximizer).
-    models::TrainConfig cfg;
-    nn::Sgd opt(params, cfg.lr, cfg.momentum, cfg.weight_decay);
-    Rng train_rng(7);
-    const auto prep = models::default_cls_preprocessor(spec);
-    const int n = static_cast<int>(ds.train.size());
-    const int steps_per_epoch = (n + cfg.batch_size - 1) / cfg.batch_size;
-    const int total = cfg.epochs * steps_per_epoch;
-    int step = 0;
-    for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-      const auto order = train_rng.permutation(n);
-      for (int b = 0; b < n; b += cfg.batch_size) {
-        const int bs = std::min(cfg.batch_size, n - b);
-        std::vector<Tensor> inputs;
-        std::vector<int> labels;
-        for (int i = 0; i < bs; ++i) {
-          const auto& s = ds.train[static_cast<std::size_t>(order[static_cast<std::size_t>(b + i)])];
-          inputs.push_back(prep(s, train_rng));
-          labels.push_back(s.label);
-        }
-        Tensor batch = models::stack_batch(inputs);
-
-        // Pass 1: input gradient for FGSM.
-        {
-          nn::Tape t;
-          t.training = true;
-          opt.zero_grad();
-          nn::Node* x = t.input(batch, /*requires_grad=*/true);
-          nn::Node* loss = nn::softmax_cross_entropy(
-              t, out.model->forward(t, x, nn::BnMode::kTrain), labels);
-          t.backward(loss);
-          for (std::size_t i = 0; i < batch.size(); ++i)
-            batch[i] += epsilon * (x->grad[i] > 0.0f ? 1.0f : -1.0f);
-        }
-        // Pass 2: train on the perturbed batch.
-        nn::Tape t;
-        t.training = true;
-        opt.set_lr(nn::cosine_lr(cfg.lr, step, total));
-        opt.zero_grad();
-        nn::Node* loss = nn::softmax_cross_entropy(
-            t, out.model->forward(t, t.input(batch), nn::BnMode::kTrain), labels);
-        t.backward(loss);
-        nn::clip_grad_norm(params, cfg.clip_norm);
-        opt.step();
-        ++step;
-      }
+  const models::TrainConfig cfg{};
+  bool loaded = false;
+  {
+    obs::TraceSpan span("zoo.load");
+    models::zoo_span_attrs(span, name, "adv", cfg.epochs);
+    loaded = nn::load_params(stem + ".weights", params, state);
+    if (loaded && !nn::load_ranges(stem + ".ranges", out.ranges)) {
+      models::calibrate_classifier(*out.model, ds.train, spec, out.ranges);
+      nn::save_ranges(stem + ".ranges", out.ranges);
     }
-    models::calibrate_classifier(*out.model, ds.train, spec, out.ranges);
+  }
+  if (!loaded) {
+    {
+      obs::TraceSpan span("zoo.train");
+      models::zoo_span_attrs(span, name, "adv", cfg.epochs);
+      fgsm_train(*out.model, params, ds, spec, cfg, epsilon);
+      models::calibrate_classifier(*out.model, ds.train, spec, out.ranges);
+    }
     nn::save_params(stem + ".weights", params, cstate);
     nn::save_ranges(stem + ".ranges", out.ranges);
-  } else if (!nn::load_ranges(stem + ".ranges", out.ranges)) {
-    models::calibrate_classifier(*out.model, ds.train, spec, out.ranges);
-    nn::save_ranges(stem + ".ranges", out.ranges);
   }
+  obs::TraceSpan span("zoo.baseline_eval");
+  models::zoo_span_attrs(span, name, "adv", cfg.epochs);
   out.trained_acc = models::eval_classifier(
       *out.model, ds.eval, SysNoiseConfig::training_default(), spec, &out.ranges);
   return out;

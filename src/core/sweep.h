@@ -1,9 +1,9 @@
 // Unified sweep engine: one generic sweep()/stepwise() pair drives any
 // EvalTask over every applicable NoiseAxis in the registry, replacing the
 // old per-task measure_*/stepwise_* quintuplet. Axis options are evaluated
-// concurrently on a small thread pool, and identical configs are memoized
-// through an optional cross-call SweepCache (the trained-baseline eval used
-// to be recomputed by every entry point).
+// concurrently on a small thread pool; identical configs are evaluated once
+// per call, and across calls through an optional SweepCache (the
+// trained-baseline eval used to be recomputed by every entry point).
 #pragma once
 
 #include <cstddef>
@@ -57,7 +57,6 @@ class SweepCache {
 
 struct SweepOptions {
   int threads = 0;              // <= 0: use hardware concurrency
-  bool memoize = true;          // dedup identical configs within a call
   SweepCache* cache = nullptr;  // optional cross-call memo
   const AxisRegistry* registry = nullptr;  // default: AxisRegistry::global()
 };

@@ -60,22 +60,20 @@ inline MetricMap evaluate_plan(
   MetricMap results;
   std::vector<const PlannedConfig*> pending;
   for (const PlannedConfig& p : plan.configs) {
-    if (opts.memoize) {
-      if (results.count(p.metric_key) != 0) continue;
-      double cached = 0.0;
-      if (opts.cache != nullptr && opts.cache->lookup(p.metric_key, &cached)) {
-        results.emplace(p.metric_key, cached);
-        continue;
-      }
-      results.emplace(p.metric_key, 0.0);  // reserve so duplicates dedup
+    if (results.count(p.metric_key) != 0) continue;
+    double cached = 0.0;
+    if (opts.cache != nullptr && opts.cache->lookup(p.metric_key, &cached)) {
+      results.emplace(p.metric_key, cached);
+      continue;
     }
+    results.emplace(p.metric_key, 0.0);  // reserve so duplicates dedup
     pending.push_back(&p);
   }
 
   const std::vector<double> values = eval_pending(pending);
   for (std::size_t i = 0; i < pending.size(); ++i) {
     results[pending[i]->metric_key] = values[i];
-    if (opts.memoize && opts.cache != nullptr)
+    if (opts.cache != nullptr)
       opts.cache->store(pending[i]->metric_key, values[i]);
   }
   return results;

@@ -12,16 +12,14 @@ namespace sysnoise::models {
 namespace {
 constexpr std::uint64_t kInitSeed = 2024;
 constexpr const char* kCacheVersion = "v1";
+}  // namespace
 
-// Attributes of the zoo.load / zoo.train / zoo.baseline_eval spans; a span
-// is inert (records nothing) while tracing is off.
 void zoo_span_attrs(obs::TraceSpan& span, const std::string& model,
                     const std::string& tag, int epochs) {
   span.attr("model", model);
   span.attr("tag", tag);
   span.attr("epochs", epochs);
 }
-}  // namespace
 
 std::string cache_dir() {
   const char* env = std::getenv("SYSNOISE_CACHE_DIR");
@@ -31,17 +29,29 @@ std::string cache_dir() {
 }
 
 const data::ClsDataset& benchmark_cls_dataset() {
-  static const data::ClsDataset ds = data::make_classification_dataset({});
+  static const data::ClsDataset ds = [] {
+    obs::TraceSpan span("zoo.dataset");
+    span.attr("task", "classification");
+    return data::make_classification_dataset({});
+  }();
   return ds;
 }
 
 const data::DetDataset& benchmark_det_dataset() {
-  static const data::DetDataset ds = data::make_detection_dataset({});
+  static const data::DetDataset ds = [] {
+    obs::TraceSpan span("zoo.dataset");
+    span.attr("task", "detection");
+    return data::make_detection_dataset({});
+  }();
   return ds;
 }
 
 const data::SegDataset& benchmark_seg_dataset() {
-  static const data::SegDataset ds = data::make_segmentation_dataset({});
+  static const data::SegDataset ds = [] {
+    obs::TraceSpan span("zoo.dataset");
+    span.attr("task", "segmentation");
+    return data::make_segmentation_dataset({});
+  }();
   return ds;
 }
 

@@ -9,9 +9,19 @@
 
 #include "models/train.h"
 
+namespace sysnoise::obs {
+class TraceSpan;
+}  // namespace sysnoise::obs
+
 namespace sysnoise::models {
 
 std::string cache_dir();
+
+// Attributes of the zoo.load / zoo.train / zoo.baseline_eval spans, shared
+// by every site that loads or trains cached weights; a span is inert
+// (records nothing) while tracing is off.
+void zoo_span_attrs(obs::TraceSpan& span, const std::string& model,
+                    const std::string& tag, int epochs);
 
 // Shared benchmark datasets (constructed once per process, deterministic).
 const data::ClsDataset& benchmark_cls_dataset();

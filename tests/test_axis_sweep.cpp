@@ -145,11 +145,11 @@ TEST(SweepEngine, ParallelMatchesSerialBitIdentically) {
 TEST(SweepEngine, MemoCacheSkipsDuplicateEvalsWithoutChangingResults) {
   const SyntheticTask task(TaskKind::kDetection, true);
 
-  SweepOptions no_memo;
-  no_memo.threads = 1;
-  no_memo.memoize = false;
-  const AxisReport plain = sweep(task, no_memo);
-  const auto plain_steps = stepwise(task, no_memo);
+  // Within-call dedup only: each call evaluates its own baseline.
+  SweepOptions per_call;
+  per_call.threads = 1;
+  const AxisReport plain = sweep(task, per_call);
+  const auto plain_steps = stepwise(task, per_call);
   const int evals_without = task.evals();
 
   task.reset();

@@ -3,8 +3,8 @@
 // disconnect release, duplicate completion), coordinator/worker loopback
 // bit-identity for N ∈ {1,2,3} workers, fault tolerance (a worker killed
 // mid-lease — by disconnect and by silent death — still yields a
-// byte-identical report), the DistExecutor seam, and a real-model loopback
-// run matching the seeded single-process sweep.
+// byte-identical report), and a real-model loopback run matching the seeded
+// single-process sweep.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -20,7 +20,6 @@
 #include "core/synthetic_task.h"
 #include "core/sweep.h"
 #include "dist/coordinator.h"
-#include "dist/dist_executor.h"
 #include "dist/protocol.h"
 #include "dist/scheduler.h"
 #include "dist/task_factory.h"
@@ -654,31 +653,6 @@ TEST(Distributed, WorkerMetricsAreEmptyWithTracingOff) {
   const SyntheticStagedTask task(TaskKind::kClassification, false);
   ASSERT_FALSE(obs::trace_enabled());
   EXPECT_EQ(loopback_worker_metrics(task).dump(), "{}");
-}
-
-// ---------------------------------------------------------------------------
-// DistExecutor seam
-// ---------------------------------------------------------------------------
-
-TEST(Distributed, DistExecutorMatchesStagedExecutorAndFillsTheCache) {
-  const SyntheticStagedTask task(TaskKind::kDetection, true);
-  const SweepPlan plan = core::plan_sweep(task, AxisRegistry::global());
-  const MetricMap expected = core::StagedExecutor().execute(task, plan);
-
-  Coordinator coordinator(fast_opts());
-  std::thread worker([&] {
-    run_worker("127.0.0.1", coordinator.port(), fixed_resolver(task), {});
-  });
-  core::SweepCache cache;
-  core::SweepOptions opts;
-  opts.cache = &cache;
-  const DistExecutor dist(coordinator, util::Json::object());
-  const MetricMap metrics = dist.execute(task, plan, opts);
-  worker.join();
-
-  EXPECT_EQ(metrics, expected);  // bit-identical, key for key
-  EXPECT_EQ(cache.size(), metrics.size());  // remote results memoized
-  EXPECT_STREQ(dist.name(), "dist");
 }
 
 // ---------------------------------------------------------------------------

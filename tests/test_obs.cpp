@@ -20,6 +20,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/executor.h"
+#include "core/plan.h"
 #include "core/report.h"
 #include "core/staged_eval.h"
 #include "core/synthetic_task.h"
@@ -402,6 +404,38 @@ TEST_F(ObsTest, StagedExecutorRecordsCountersOnlyWhileTracing) {
             stats.evaluations);
   EXPECT_EQ(obs::metrics().counter_value("staged.preprocess_hits"),
             stats.preprocess_hits);
+}
+
+// The calling thread's span around each executor call: without it, the
+// time a bench spends in execute() shows on its thread as unspanned.
+TEST_F(ObsTest, StagedExecuteSpanWrapsEachExecutorCall) {
+  const SyntheticStagedTask task(TaskKind::kDetection, true);
+  const core::SweepPlan plan =
+      core::plan_sweep(task, core::AxisRegistry::global());
+  obs::trace_enable();
+  core::StagedExecutor().execute(task, plan);
+  obs::trace_disable();
+  const util::Json trace = obs::trace_drain();
+  EXPECT_EQ(obs::summarize_events(trace)
+                .at("spans")
+                .at("staged.execute")
+                .at("count")
+                .as_number(),
+            1.0);
+  bool saw_attrs = false;
+  const util::Json& events = trace.at("traceEvents");
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const util::Json& ev = events.at(i);
+    if (ev.at("name").as_string() != "staged.execute" ||
+        ev.at("ph").as_string() != "E")
+      continue;
+    const util::Json& args = ev.at("args");
+    EXPECT_EQ(args.at("task").as_string(), task.name());
+    EXPECT_EQ(args.at("configs").as_string(),
+              std::to_string(plan.configs.size()));
+    saw_attrs = true;
+  }
+  EXPECT_TRUE(saw_attrs);
 }
 
 TEST_F(ObsTest, StageStatsToJsonCarriesEveryField) {
