@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   const bench::BenchCli cli =
       bench::parse_cli(argc, argv, "fig5_visualization");
   bench::banner("Fig. 5 — SysNoise visualization", "Sec. 4.3, Fig. 5");
+  bench::BenchTrace trace(cli);
 
   const auto& ds = models::benchmark_cls_dataset();
   const PipelineSpec spec = models::cls_pipeline_spec();

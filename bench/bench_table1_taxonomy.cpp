@@ -17,6 +17,7 @@ using namespace sysnoise;
 int main(int argc, char** argv) {
   const bench::BenchCli cli = bench::parse_cli(argc, argv, "table1_taxonomy");
   bench::banner("Table 1 — SysNoise taxonomy", "Sec. 3.4, Table 1");
+  bench::BenchTrace trace(cli);
 
   std::vector<std::string> labels;
   for (const core::NoiseAxis& axis : core::AxisRegistry::global().axes())

@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
   const bench::BenchCli cli = bench::parse_cli(argc, argv, "table6_tent");
   bench::banner("Table 6 — TENT test-time adaptation vs SysNoise",
                 "Sec. 4.3, Table 6");
+  bench::BenchTrace trace(cli);
 
   // Light members of four families (the paper's Table 6 spans the same
   // families at ImageNet scale; the TENT sweep re-adapts a fresh model per

@@ -16,6 +16,7 @@ using namespace sysnoise;
 int main(int argc, char** argv) {
   const bench::BenchCli cli = bench::parse_cli(argc, argv, "table7_mix_resize");
   bench::banner("Table 7 — mix training on resize", "Sec. 4.3, Table 7 / Algo. 1");
+  bench::BenchTrace trace(cli);
 
   // The six resize methods of the paper's Table 7 grid.
   const std::vector<ResizeMethod> grid = {

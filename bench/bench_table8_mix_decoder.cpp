@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   const bench::BenchCli cli = bench::parse_cli(argc, argv, "table8_mix_decoder");
   bench::banner("Table 8 — mix training on the decoder",
                 "Sec. 4.3, Table 8 / Algo. 1");
+  bench::BenchTrace trace(cli);
 
   const std::vector<jpeg::DecoderVendor> grid = {jpeg::DecoderVendor::kPillow,
                                                  jpeg::DecoderVendor::kOpenCV,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -69,76 +70,85 @@ std::vector<double> staged_eval(const StagedEvalTask& task,
                      return a.pre_key < b.pre_key;
                    });
 
+  // Groups still to finish per preprocess key: the last one to finish drops
+  // the key's stage-1 product from pre_cache.
+  std::map<std::string, std::size_t> groups_left;
+  for (const ForwardGroup& group : groups) ++groups_left[group.pre_key];
+  std::mutex left_mu;
+
   StageCache pre_cache;
   std::atomic<std::size_t> disk_hits{0}, computed{0}, persisted{0};
   std::atomic<std::size_t> fwd_disk_hits{0}, fwd_computed{0}, fwd_persisted{0};
   std::atomic<std::size_t> stage1_evals{0};  // members of groups running stage 1
-  std::vector<StageProduct> pre_of(groups.size());
-  std::vector<StageProduct> fwd_of(groups.size());
   std::vector<double> values(pending.size(), 0.0);
 
-  // Phase 1, parallel per group: a disk-cached forward product makes stage 1
-  // unnecessary (the pre-processed batches exist only to feed the network);
-  // otherwise materialize the group's stage-1 product through pre_cache.
+  // One pass per group, groups in parallel: a disk-cached forward product
+  // makes stage 1 unnecessary (the pre-processed batches exist only to feed
+  // the network); otherwise materialize the stage-1 product through
+  // pre_cache, run the one forward, persist it, and fan its output out to
+  // the group's planned configs through post-processing. Products live only
+  // as long as a group needs them, so at most one stage-1 product per
+  // thread is resident.
   detail::parallel_for_n(opts.threads, groups.size(), [&](std::size_t g) {
     const ForwardGroup& group = groups[g];
-    obs::TraceSpan span("staged.preprocess");
-    if (span.active()) span.attr("pre_key", group.pre_key);
     const SysNoiseConfig& lead_cfg = pending[group.members.front()]->cfg;
-    if (disk != nullptr) {
-      std::string bytes;
-      if (disk->load(task.forward_scope(), group.fwd_key, &bytes)) {
-        if ((fwd_of[g] = task.decode_forward(bytes)) != nullptr)
-          fwd_disk_hits.fetch_add(1);
+    StageProduct fwd, pre;
+    {
+      obs::TraceSpan span("staged.preprocess");
+      if (span.active()) span.attr("pre_key", group.pre_key);
+      if (disk != nullptr) {
+        std::string bytes;
+        if (disk->load(task.forward_scope(), group.fwd_key, &bytes)) {
+          if ((fwd = task.decode_forward(bytes)) != nullptr)
+            fwd_disk_hits.fetch_add(1);
+        }
+      }
+      if (fwd == nullptr) {
+        stage1_evals.fetch_add(group.members.size());
+        pre = pre_cache.get_or_compute(group.pre_key, [&] {
+          if (disk != nullptr) {
+            std::string bytes;
+            if (disk->load(task.preprocess_scope(), group.pre_key, &bytes)) {
+              if (StageProduct p = task.decode_preprocess(bytes)) {
+                disk_hits.fetch_add(1);
+                return p;
+              }
+            }
+          }
+          computed.fetch_add(1);
+          StageProduct p = task.run_preprocess(lead_cfg);
+          if (disk != nullptr) {
+            std::string bytes;
+            if (task.encode_preprocess(p, &bytes)) {
+              disk->store(task.preprocess_scope(), group.pre_key, bytes);
+              persisted.fetch_add(1);
+            }
+          }
+          return p;
+        });
       }
     }
-    if (fwd_of[g] != nullptr) return;
-    stage1_evals.fetch_add(group.members.size());
-    pre_of[g] = pre_cache.get_or_compute(group.pre_key, [&] {
-      if (disk != nullptr) {
-        std::string bytes;
-        if (disk->load(task.preprocess_scope(), group.pre_key, &bytes)) {
-          if (StageProduct p = task.decode_preprocess(bytes)) {
-            disk_hits.fetch_add(1);
-            return p;
-          }
-        }
-      }
-      computed.fetch_add(1);
-      StageProduct p = task.run_preprocess(lead_cfg);
-      if (disk != nullptr) {
-        std::string bytes;
-        if (task.encode_preprocess(p, &bytes)) {
-          disk->store(task.preprocess_scope(), group.pre_key, bytes);
-          persisted.fetch_add(1);
-        }
-      }
-      return p;
-    });
-  });
-
-  // Phase 2, parallel per group: one forward invocation for a group still
-  // lacking a product, then post-processing fans its output out to the
-  // group's planned configs.
-  detail::parallel_for_n(opts.threads, groups.size(), [&](std::size_t g) {
-    const ForwardGroup& group = groups[g];
-    if (fwd_of[g] == nullptr) {
+    if (fwd == nullptr) {
       obs::TraceSpan span("staged.forward");
       if (span.active()) span.attr("fwd_key", group.fwd_key);
-      fwd_of[g] =
-          task.run_forward(pending[group.members.front()]->cfg, pre_of[g]);
+      fwd = task.run_forward(lead_cfg, pre);
+      pre.reset();  // not needed while persisting and post-processing
       fwd_computed.fetch_add(1);
       if (disk != nullptr) {
         std::string bytes;
-        if (task.encode_forward(fwd_of[g], &bytes)) {
+        if (task.encode_forward(fwd, &bytes)) {
           disk->store(task.forward_scope(), group.fwd_key, bytes);
           fwd_persisted.fetch_add(1);
         }
       }
     }
+    {
+      std::lock_guard<std::mutex> lock(left_mu);
+      if (--groups_left[group.pre_key] == 0) pre_cache.release(group.pre_key);
+    }
     obs::TraceSpan post_span("staged.postprocess");
     for (const std::size_t i : group.members)
-      values[i] = task.run_postprocess(pending[i]->cfg, fwd_of[g]);
+      values[i] = task.run_postprocess(pending[i]->cfg, fwd);
   });
 
   if (stats != nullptr) {

@@ -11,12 +11,16 @@
 //    task's full evaluate() chain, fanned out over a thread pool.
 //  * StagedExecutor — stage-shared evaluation for StagedEvalTasks: configs
 //    grouped by forward key, pre-processing computed once per preprocess
-//    key and exactly one run_forward per forward group. Configs are never
-//    stacked through one forward here: that measured slower on a real
-//    table bench (README). Serving is the one stacked-batch forward path
-//    (serve/serving_model.h). Optionally backed by a disk StageCache so
-//    products persist across processes and bench binaries. Falls back to
-//    the monolithic path for tasks that are not staged.
+//    key and exactly one run_forward per forward group. Each group runs as
+//    one pass (stage 1, forward, post-processing) on a pool thread, and a
+//    stage product is dropped as soon as the last group needing it is
+//    done, so resident memory grows with the thread count, not with the
+//    plan. Configs are never stacked through one forward here: that
+//    measured slower on a real table bench (README). Serving is the one
+//    stacked-batch forward path (serve/serving_model.h). Optionally backed
+//    by a disk StageCache so products persist across processes and bench
+//    binaries. Falls back to the monolithic path for tasks that are not
+//    staged.
 //  * ShardExecutor — deterministically partitions the plan into i/N slices
 //    (plan-order round-robin), executes only its slice through an inner
 //    executor, and statically merges partial MetricMaps back into the full

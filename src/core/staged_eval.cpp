@@ -59,6 +59,11 @@ StageProduct StageCache::get_or_compute(
   return future.get();
 }
 
+void StageCache::release(const std::string& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  entries_.erase(key);
+}
+
 std::size_t StageCache::hits() const {
   std::lock_guard<std::mutex> lock(mu_);
   return hits_;

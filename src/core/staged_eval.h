@@ -122,11 +122,16 @@ class StagedEvalTask : public EvalTask {
 
 // Compute-once keyed store for stage products. Concurrent requests for the
 // same key block on the first computation's shared_future instead of
-// recomputing; hit/miss counters mirror SweepCache's accounting.
+// recomputing; hit/miss counters mirror SweepCache's accounting. The
+// staged executor releases each key once its last consumer is done, so the
+// store holds only the products still in use.
 class StageCache {
  public:
   StageProduct get_or_compute(const std::string& key,
                               const std::function<StageProduct()>& compute);
+  // Drop the cache's reference to `key`'s product (a no-op for an absent
+  // key). A later request for the key computes it again, as a miss.
+  void release(const std::string& key);
 
   std::size_t hits() const;
   std::size_t misses() const;

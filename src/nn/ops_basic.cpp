@@ -26,9 +26,9 @@ Node* linear(Tape& t, Node* x, Param& w, Param* bias, const std::string& layer_i
   if (w.value.dim(1) != in) throw std::invalid_argument("linear: shape mismatch");
   const int rows = leading_rows(x->value);
 
-  Tensor xin = x->value;
-  apply_activation_precision(t.ctx, layer_id + ".in", xin);
-  const Tensor wq = apply_weight_precision(t.ctx, w.value);
+  const PrecisionOperands operands(t.ctx, layer_id, x->value, w.value);
+  const Tensor& xin = operands.x();
+  const Tensor& wq = operands.w();
 
   std::vector<int> out_shape(x->value.shape());
   out_shape.back() = out_f;

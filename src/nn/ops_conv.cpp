@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "nn/ops.h"
@@ -137,9 +138,9 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
   const int col_rows = icg * k * k;
 
   // Deployment-precision view of inputs and weights.
-  Tensor xin = x->value;
-  apply_activation_precision(t.ctx, layer_id + ".in", xin);
-  const Tensor wq = apply_weight_precision(t.ctx, w.value);
+  const PrecisionOperands operands(t.ctx, layer_id, x->value, w.value);
+  const Tensor& xin = operands.x();
+  const Tensor& wq = operands.w();
 
   const BackendScope backend_scope(t.ctx.backend);
   Tensor out({n, oc, oh, ow});
@@ -158,7 +159,8 @@ Node* conv2d(Tape& t, Node* x, Param& w, Param* bias, const Conv2dSpec& spec,
   const std::size_t col_floats = static_cast<std::size_t>(col_rows) * oh * ow;
   auto conv_one = [&](int idx) {
     const int ni = idx / groups, g = idx % groups;
-    const float* x_ptr = &xin.at4(ni, g * icg, 0, 0);
+    const float* x_ptr =
+        xin.data() + (static_cast<std::size_t>(ni) * c + g * icg) * h * wd;
     float* out_ptr = &out.at4(ni, g * ocg, 0, 0);
     const float* w_ptr = wq.data() + static_cast<std::size_t>(g) * ocg * col_rows;
     if (depthwise) {
@@ -251,46 +253,53 @@ Node* maxpool2d(Tape& t, Node* x, int kernel, int stride, int pad) {
   const bool ceil_mode = t.ctx.ceil_mode;
   const int oh = pooled_size(h, kernel, stride, pad, ceil_mode);
   const int ow = pooled_size(w, kernel, stride, pad, ceil_mode);
-  Tensor out({n, c, oh, ow});
-  auto argmax = std::make_shared<std::vector<int>>(out.size());
-  for (int ni = 0; ni < n; ++ni)
-    for (int ci = 0; ci < c; ++ci)
-      for (int oy = 0; oy < oh; ++oy)
-        for (int ox = 0; ox < ow; ++ox) {
-          float best = -std::numeric_limits<float>::infinity();
-          int best_idx = -1;
-          for (int ky = 0; ky < kernel; ++ky) {
-            const int iy = oy * stride - pad + ky;
-            if (iy < 0 || iy >= h) continue;
-            for (int kx = 0; kx < kernel; ++kx) {
-              const int ix = ox * stride - pad + kx;
-              if (ix < 0 || ix >= w) continue;
-              const float v = x->value.at4(ni, ci, iy, ix);
-              if (v > best) {
-                best = v;
-                best_idx = iy * w + ix;
-              }
-            }
-          }
-          // Ceil-mode windows fully inside padding see no valid input; emit 0.
-          out.at4(ni, ci, oy, ox) = best_idx >= 0 ? best : 0.0f;
-          (*argmax)[static_cast<std::size_t>(((ni * c + ci) * oh + oy) * ow + ox)] =
-              best_idx;
+  // Offset (iy * w + ix) in its plane of the first strict maximum of window
+  // (oy, ox), scanned row-major; -1 when no input in it exceeds -inf (NaNs
+  // never win), which includes ceil-mode windows lying wholly in padding.
+  // The backward recomputes it from the input instead of storing it.
+  auto argmax = [=](const float* plane, int oy, int ox) {
+    const int y0 = oy * stride - pad, x0 = ox * stride - pad;
+    const int y1 = std::min(y0 + kernel, h), x1 = std::min(x0 + kernel, w);
+    float best = -std::numeric_limits<float>::infinity();
+    int best_idx = -1;
+    for (int iy = std::max(y0, 0); iy < y1; ++iy) {
+      const float* row = plane + static_cast<std::ptrdiff_t>(iy) * w;
+      for (int ix = std::max(x0, 0); ix < x1; ++ix)
+        if (row[ix] > best) {
+          best = row[ix];
+          best_idx = iy * w + ix;
         }
+    }
+    return best_idx;
+  };
+  const std::ptrdiff_t in_plane = static_cast<std::ptrdiff_t>(h) * w;
+  const std::ptrdiff_t out_plane = static_cast<std::ptrdiff_t>(oh) * ow;
+  Tensor out({n, c, oh, ow});
+  for (std::ptrdiff_t p = 0; p < static_cast<std::ptrdiff_t>(n) * c; ++p) {
+    const float* xp = x->value.data() + p * in_plane;
+    float* op = out.data() + p * out_plane;
+    for (int oy = 0; oy < oh; ++oy)
+      for (int ox = 0; ox < ow; ++ox) {
+        const int idx = argmax(xp, oy, ox);
+        *op++ = idx >= 0 ? xp[idx] : 0.0f;
+      }
+  }
   Node* y = t.make(std::move(out));
   Node* xn = x;
-  y->backprop = [y, xn, argmax, c, oh, ow, w]() {
+  y->backprop = [y, xn, argmax, in_plane, out_plane, oh, ow]() {
     if (!xn->requires_grad) return;
-    const int n2 = y->value.dim(0);
-    for (int ni = 0; ni < n2; ++ni)
-      for (int ci = 0; ci < c; ++ci)
-        for (int oy = 0; oy < oh; ++oy)
-          for (int ox = 0; ox < ow; ++ox) {
-            const int idx =
-                (*argmax)[static_cast<std::size_t>(((ni * c + ci) * oh + oy) * ow + ox)];
-            if (idx < 0) continue;
-            xn->grad.at4(ni, ci, idx / w, idx % w) += y->grad.at4(ni, ci, oy, ox);
-          }
+    const std::ptrdiff_t planes =
+        static_cast<std::ptrdiff_t>(y->value.dim(0)) * y->value.dim(1);
+    for (std::ptrdiff_t p = 0; p < planes; ++p) {
+      const float* xp = xn->value.data() + p * in_plane;
+      float* gx = xn->grad.data() + p * in_plane;
+      const float* gy = y->grad.data() + p * out_plane;
+      for (int oy = 0; oy < oh; ++oy)
+        for (int ox = 0; ox < ow; ++ox, ++gy) {
+          const int idx = argmax(xp, oy, ox);
+          if (idx >= 0) gx[idx] += *gy;
+        }
+    }
   };
   return y;
 }

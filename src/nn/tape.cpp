@@ -29,20 +29,23 @@ Node* Tape::input(Tensor t, bool requires_grad) {
 Node* Tape::make(Tensor value) {
   auto node = std::make_unique<Node>();
   node->value = std::move(value);
-  node->grad = Tensor(node->value.shape());
   nodes_.push_back(std::move(node));
   return nodes_.back().get();
 }
 
 void Tape::backward(Node* loss) {
+  // Forwards allocate no grads; every node that takes one gets a zeroed
+  // buffer here, before any closure accumulates into it. A grad that
+  // already exists (an input leaf, or an earlier backward on this tape)
+  // keeps its contents.
+  for (const auto& n : nodes_)
+    if (n->requires_grad && n->grad.shape() != n->value.shape())
+      n->grad = Tensor(n->value.shape());
   loss->grad.fill(1.0f);
   // Nodes were appended in execution order; reverse order is a valid
   // topological order for reverse mode.
-  for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
-    Node* n = it->get();
-    if (n->backprop) n->backprop();
-    if (n == loss) continue;
-  }
+  for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it)
+    if ((*it)->backprop) (*it)->backprop();
 }
 
 void Tape::clear() { nodes_.clear(); }
@@ -86,6 +89,19 @@ Tensor apply_weight_precision(const InferenceCtx& ctx, const Tensor& w) {
     }
   }
   return w;
+}
+
+PrecisionOperands::PrecisionOperands(const InferenceCtx& ctx,
+                                     const std::string& layer_id,
+                                     const Tensor& x, const Tensor& w) {
+  if (ctx.precision == Precision::kFP32 && !ctx.calibrating) {
+    x_ = &x;
+    w_ = &w;
+    return;
+  }
+  xq_ = x;
+  apply_activation_precision(ctx, layer_id + ".in", xq_);
+  wq_ = apply_weight_precision(ctx, w);
 }
 
 }  // namespace sysnoise::nn

@@ -3,7 +3,9 @@
 // Every forward pass records Nodes (value + backward closure) on a Tape;
 // Tape::backward replays closures in reverse. Model parameters live outside
 // the tape (struct Param) and closures accumulate directly into their grad
-// buffers, so weights are never copied per step.
+// buffers, so weights are never copied per step. A forward allocates no
+// gradient storage: op nodes get their grads only when backward runs, so an
+// eval forward costs its activations and nothing more.
 //
 // The tape also carries the InferenceCtx — the *model-inference* SysNoise
 // knobs of Sec. 3.2: data precision (FP32/FP16/INT8 fake-quant at
@@ -59,6 +61,9 @@ struct InferenceCtx {
 
 struct Node {
   Tensor value;
+  // Empty until Tape::backward, which gives every requires_grad node a
+  // zeroed grad of its value's shape before replaying the closures (input
+  // leaves made with requires_grad get theirs at creation).
   Tensor grad;
   std::function<void()> backprop;  // empty for leaves/constants
   bool requires_grad = true;
@@ -79,7 +84,8 @@ class Tape {
   // Create an op output node; `backprop` may be set by the op afterwards.
   Node* make(Tensor value);
 
-  // Reverse-mode sweep from `loss` (grad seeded with 1).
+  // Reverse-mode sweep from `loss` (grad seeded with 1): allocates the
+  // missing grads, then replays every closure in reverse order.
   void backward(Node* loss);
 
   std::size_t num_nodes() const { return nodes_.size(); }
@@ -99,5 +105,25 @@ void apply_activation_precision(const InferenceCtx& ctx, const std::string& laye
 
 // Precision for a weight tensor (INT8 weights use symmetric quant).
 Tensor apply_weight_precision(const InferenceCtx& ctx, const Tensor& w);
+
+// A conv/linear op's input and weight at deployment precision. Under FP32
+// inference both functions above are identities, so this refers to the
+// tensors themselves and copies nothing; under FP16, INT8 or calibration
+// it holds the precision-applied copies.
+class PrecisionOperands {
+ public:
+  PrecisionOperands(const InferenceCtx& ctx, const std::string& layer_id,
+                    const Tensor& x, const Tensor& w);
+  PrecisionOperands(const PrecisionOperands&) = delete;
+  PrecisionOperands& operator=(const PrecisionOperands&) = delete;
+
+  const Tensor& x() const { return x_ != nullptr ? *x_ : xq_; }
+  const Tensor& w() const { return w_ != nullptr ? *w_ : wq_; }
+
+ private:
+  const Tensor* x_ = nullptr;  // the caller's tensors, when used as they are
+  const Tensor* w_ = nullptr;
+  Tensor xq_, wq_;
+};
 
 }  // namespace sysnoise::nn

@@ -689,7 +689,7 @@ TEST(BackendConv, BackwardGradientsAgreeAcrossBackendsWithinEpsilon) {
     nn::Node* in = tape.input(x, /*requires_grad=*/true);
     nn::Node* y = nn::conv2d(tape, in, wp, nullptr, {1, 1, 2}, "t");
     // Loss = sum(y): seed dL/dy = 1 everywhere and run the conv backward.
-    y->grad.fill(1.0f);
+    y->grad = Tensor::full(y->value.shape(), 1.0f);
     y->backprop();
     if (backend == ComputeBackend::kReference) {
       ref_gw = wp.grad.vec();

@@ -541,6 +541,136 @@ TEST(AttentionCore, ForwardAndGradsMatchTheScalarLoopsBitForBit) {
   EXPECT_EQ(cases, 2 * 4 * 2 * 2);
 }
 
+// maxpool2d's Tensor::at4 loops as they were before the pointer rewrite,
+// with the argmax the forward used to keep for the backward: the oracle
+// the op must match bit for bit.
+struct MaxPoolOracle {
+  Tensor out, gx;
+  int padded_windows = 0;  // windows with no valid input (output 0)
+};
+
+MaxPoolOracle maxpool_oracle(const Tensor& x, const Tensor& gy, int kernel,
+                             int stride, int pad, bool ceil_mode) {
+  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int oh = pooled_size(h, kernel, stride, pad, ceil_mode);
+  const int ow = pooled_size(w, kernel, stride, pad, ceil_mode);
+  MaxPoolOracle r;
+  r.out = Tensor({n, c, oh, ow});
+  r.gx = Tensor(x.shape());
+  std::vector<int> argmax(r.out.size());
+  for (int ni = 0; ni < n; ++ni)
+    for (int ci = 0; ci < c; ++ci)
+      for (int oy = 0; oy < oh; ++oy)
+        for (int ox = 0; ox < ow; ++ox) {
+          float best = -std::numeric_limits<float>::infinity();
+          int best_idx = -1;
+          for (int ky = 0; ky < kernel; ++ky) {
+            const int iy = oy * stride - pad + ky;
+            if (iy < 0 || iy >= h) continue;
+            for (int kx = 0; kx < kernel; ++kx) {
+              const int ix = ox * stride - pad + kx;
+              if (ix < 0 || ix >= w) continue;
+              const float v = x.at4(ni, ci, iy, ix);
+              if (v > best) {
+                best = v;
+                best_idx = iy * w + ix;
+              }
+            }
+          }
+          r.out.at4(ni, ci, oy, ox) = best_idx >= 0 ? best : 0.0f;
+          argmax[static_cast<std::size_t>(((ni * c + ci) * oh + oy) * ow + ox)] =
+              best_idx;
+        }
+  for (int ni = 0; ni < n; ++ni)
+    for (int ci = 0; ci < c; ++ci)
+      for (int oy = 0; oy < oh; ++oy)
+        for (int ox = 0; ox < ow; ++ox) {
+          const int idx =
+              argmax[static_cast<std::size_t>(((ni * c + ci) * oh + oy) * ow + ox)];
+          if (idx < 0) continue;
+          r.gx.at4(ni, ci, idx / w, idx % w) += gy.at4(ni, ci, oy, ox);
+        }
+  for (const int idx : argmax) r.padded_windows += idx < 0 ? 1 : 0;
+  return r;
+}
+
+bool same_bits(const Tensor& x, const Tensor& y) {
+  return x.shape() == y.shape() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+TEST(MaxPool, ForwardAndGradsMatchTheAt4LoopsBitForBit) {
+  struct Geom {
+    int h, w, kernel, stride, pad;
+    bool ceil;
+  };
+  const std::vector<Geom> geoms = {
+      {7, 9, 3, 2, 1, false}, {7, 9, 3, 2, 1, true},  // overlapping windows
+      {5, 6, 2, 2, 0, true},  {4, 7, 3, 1, 1, false},
+      {5, 5, 2, 3, 2, true},  // first row/col of windows wholly in padding
+      {6, 6, 3, 3, 3, true},
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(91);
+  int padded_windows = 0;
+  for (const Geom& g : geoms) {
+    // Few distinct levels, so windows tie; +-inf and NaN sprinkled in, and
+    // channel 1 of image 0 is all -inf, channel 2 all NaN (output 0).
+    Tensor x({2, 3, g.h, g.w});
+    const float levels[] = {-1.0f, 0.0f, 0.5f, 0.5f, 1.0f, inf, -inf, nan};
+    for (float& v : x.vec()) v = levels[rng.uniform_int(8)];
+    const std::size_t plane = static_cast<std::size_t>(g.h) * g.w;
+    std::fill(x.data() + plane, x.data() + 2 * plane, -inf);
+    std::fill(x.data() + 2 * plane, x.data() + 3 * plane, nan);
+    const int oh = pooled_size(g.h, g.kernel, g.stride, g.pad, g.ceil);
+    const int ow = pooled_size(g.w, g.kernel, g.stride, g.pad, g.ceil);
+    const Tensor gy = random_tensor({2, 3, oh, ow}, rng);
+
+    Tape t;
+    t.ctx.ceil_mode = g.ceil;
+    Node* xn = t.input(x, /*requires_grad=*/true);
+    Node* y = maxpool2d(t, xn, g.kernel, g.stride, g.pad);
+    y->grad = gy;
+    y->backprop();
+    const MaxPoolOracle want =
+        maxpool_oracle(x, gy, g.kernel, g.stride, g.pad, g.ceil);
+    const std::string where = std::to_string(g.h) + "x" + std::to_string(g.w) +
+                              " k" + std::to_string(g.kernel) + " s" +
+                              std::to_string(g.stride) + " p" +
+                              std::to_string(g.pad) + (g.ceil ? " ceil" : "");
+    EXPECT_TRUE(same_bits(y->value, want.out)) << "out " << where;
+    EXPECT_TRUE(same_bits(xn->grad, want.gx)) << "grad " << where;
+    padded_windows += want.padded_windows;
+  }
+  EXPECT_GT(padded_windows, 0);
+}
+
+// A forward allocates no gradient storage; backward gives every node that
+// takes a grad one of its value's shape, and leaves the rest without.
+TEST(TapeGrads, ForwardAllocatesNoneBackwardAllocatesEveryRequiredOne) {
+  Rng rng(17);
+  Param w(random_tensor({4, 3, 3, 3}, rng, -0.4f, 0.4f));
+  Param fc(random_tensor({5, 4}, rng, -0.4f, 0.4f));
+  Tape t;
+  t.training = true;
+  Node* x = t.input(random_tensor({2, 3, 6, 6}, rng));
+  std::vector<Node*> ops;
+  ops.push_back(conv2d(t, x, w, nullptr, {.stride = 1, .pad = 1, .groups = 1}, "c"));
+  ops.push_back(relu(t, ops.back()));
+  ops.push_back(maxpool2d(t, ops.back(), 2, 2, 0));
+  ops.push_back(global_avgpool(t, ops.back()));
+  ops.push_back(linear(t, ops.back(), fc, nullptr, "fc"));
+  for (const Node* n : ops) EXPECT_TRUE(n->grad.empty());
+
+  Node* loss = mse_loss(t, ops.back(), random_tensor({2, 5}, rng));
+  t.backward(loss);
+  for (const Node* n : ops) EXPECT_EQ(n->grad.shape(), n->value.shape());
+  EXPECT_EQ(loss->grad.shape(), loss->value.shape());
+  EXPECT_TRUE(x->grad.empty());  // an input leaf without requires_grad
+  EXPECT_GT(w.grad.abs_max(), 0.0f);
+}
+
 TEST(GradCheckOps, Embedding) {
   Rng rng(51);
   Param table(random_tensor({10, 4}, rng));

@@ -342,7 +342,7 @@ class CountingClassifierTask : public models::ClassifierTask {
     ++preprocess_runs;
     return models::ClassifierTask::run_preprocess(cfg);
   }
-  mutable int preprocess_runs = 0;
+  mutable std::atomic<int> preprocess_runs{0};  // pool threads count
 };
 
 TEST(DiskStageCacheT, WarmRealClassifierRunPerformsZeroJpegDecodes) {
@@ -384,7 +384,7 @@ TEST(DiskStageCacheT, WarmRealClassifierRunPerformsZeroJpegDecodes) {
   DiskStageCache cold_disk(dir.string());
   const StagedExecutor cold_ex(nullptr, &cold_disk);
   const AxisReport cold = assemble_report(plan, cold_ex.execute(task, plan));
-  EXPECT_GT(task.preprocess_runs, 0);
+  EXPECT_GT(task.preprocess_runs.load(), 0);
 
   task.preprocess_runs = 0;
   DiskStageCache warm_disk(dir.string());
@@ -392,7 +392,7 @@ TEST(DiskStageCacheT, WarmRealClassifierRunPerformsZeroJpegDecodes) {
   const StagedExecutor warm_ex(&stats, &warm_disk);
   const AxisReport warm = assemble_report(plan, warm_ex.execute(task, plan));
   expect_reports_identical(cold, warm);
-  EXPECT_EQ(task.preprocess_runs, 0);  // zero JPEG decodes on the warm run
+  EXPECT_EQ(task.preprocess_runs.load(), 0);  // zero JPEG decodes on the warm run
   EXPECT_EQ(stats.preprocess_computed, 0u);
   EXPECT_EQ(stats.preprocess_disk_hits, stats.preprocess_misses);
   std::filesystem::remove_all(dir);

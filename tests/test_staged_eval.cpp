@@ -6,6 +6,9 @@
 // evaluated without re-running the forward pass.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -188,6 +191,79 @@ TEST(StagedEngine, SharedSweepCacheStillMemoizesAcrossCalls) {
   EXPECT_EQ(task.fwd_runs(), 0);
   EXPECT_EQ(task.post_runs(), 0);
   EXPECT_GT(cache.hits(), 0u);
+}
+
+// Keeps a weak_ptr to every stage-1 product it hands out and records, on
+// each run_forward, the most of them alive at once anywhere in the process.
+class LiveProductTask : public SyntheticStagedTask {
+ public:
+  using SyntheticStagedTask::SyntheticStagedTask;
+
+  StageProduct run_preprocess(const SysNoiseConfig& cfg) const override {
+    StageProduct p = SyntheticStagedTask::run_preprocess(cfg);
+    const std::lock_guard<std::mutex> lock(mu_);
+    products_.push_back(p);
+    return p;
+  }
+  StageProduct run_forward(const SysNoiseConfig& cfg,
+                           const StageProduct& pre) const override {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      std::size_t live = 0;
+      for (const auto& p : products_) live += p.expired() ? 0 : 1;
+      max_live_ = std::max(max_live_, live);
+    }
+    return SyntheticStagedTask::run_forward(cfg, pre);
+  }
+  std::size_t products() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return products_.size();
+  }
+  std::size_t max_live() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return max_live_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::vector<std::weak_ptr<const void>> products_;
+  mutable std::size_t max_live_ = 0;
+};
+
+TEST(StagedEngine, KeepsAtMostOneStageOneProductPerThreadResident) {
+  const SyntheticStagedTask reference(TaskKind::kClassification, true);
+  const AxisReport want = sweep(reference);
+  for (const int threads : {1, 2, 4}) {
+    const LiveProductTask task(TaskKind::kClassification, true);
+    SweepOptions opts;
+    opts.threads = threads;
+    StageStats stats;
+    expect_reports_identical(want, staged_sweep(task, opts, &stats));
+    // Stage 1 still runs once per preprocess key, for more keys than threads.
+    EXPECT_EQ(task.products(), stats.preprocess_misses);
+    EXPECT_GT(task.products(), static_cast<std::size_t>(threads));
+    EXPECT_GE(task.max_live(), 1u);
+    EXPECT_LE(task.max_live(), static_cast<std::size_t>(threads))
+        << threads << " threads";
+  }
+}
+
+TEST(StageCacheT, ReleasedKeyIsComputedAgainAsAMiss) {
+  StageCache cache;
+  int computes = 0;
+  auto make = [&] {
+    ++computes;
+    return std::make_shared<const int>(computes);
+  };
+  std::weak_ptr<const void> first = cache.get_or_compute("k", make);
+  EXPECT_FALSE(first.expired());  // the cache still holds it
+  cache.release("k");
+  EXPECT_TRUE(first.expired());
+  cache.release("absent");
+  EXPECT_EQ(*static_cast<const int*>(cache.get_or_compute("k", make).get()), 2);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(StageCacheT, ComputesOncePerKeyAndCountsHits) {
